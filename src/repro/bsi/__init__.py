@@ -10,8 +10,16 @@ Layering (bottom-up):
 - :mod:`repro.bsi.bsi` — :class:`BSI`, an ordered list of bit-slice
   bitmaps with the paper's arithmetic (§2.3), comparisons (Algs 1–3),
   aggregates (§4.1.3) and constant predicates.
-- :mod:`repro.bsi.sparkops` — Spark integration: BSIs as BinaryType
-  columns, pandas UDFs and applyInPandas reducers.
+
+Spark ships BSIs as serialized blobs in BinaryType columns. The
+scorecard, bucketed scorecard, pre-experiment, deep-dive and ad-hoc
+pipelines all end in one kernel,
+:func:`repro.core.scorecard.score_segment`. Per segment it takes the
+exposed users from the constant predicate on the offset BSI, ANDs any
+dimension filter onto them and splits them by bucket if asked. It then
+sums each metric over them. Its grid contract is every (strategy,
+bucket) with at least one exposed user, times every requested metric;
+a metric with no BSI in the segment sums to 0.
 """
 from repro.bsi.bitmap import RoaringBitmap
 from repro.bsi.bsi import BSI

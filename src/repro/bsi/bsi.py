@@ -35,6 +35,22 @@ _MAGIC = b"BS1"
 _EMPTY = RoaringBitmap.empty()
 
 
+def _as_uint(x, dtype, what: str) -> np.ndarray:
+    """``x`` as a ``dtype`` array; raises ValueError if any element is
+    negative, non-integral or too large for ``dtype``."""
+    x = np.asarray(x)
+    if len(x):
+        if x.dtype.kind not in "buif":
+            raise ValueError(f"{what}s must be numeric, got {x.dtype}")
+        if x.dtype.kind == "f" and not (np.isfinite(x) & (np.trunc(x) == x)).all():
+            raise ValueError(f"non-integral {what} in BSI input")
+        if x.min() < 0:
+            raise ValueError(f"negative {what} in BSI input")
+        if int(x.max()) >> (8 * np.dtype(dtype).itemsize):
+            raise ValueError(f"{what} too large for {np.dtype(dtype).name}")
+    return x.astype(dtype)
+
+
 class BSI:
     """Bit-sliced index over uint32 positions with uint64 values."""
 
@@ -55,9 +71,11 @@ class BSI:
     @classmethod
     def from_arrays(cls, positions, values) -> "BSI":
         """Build from parallel position/value vectors. Zero values are
-        dropped (non-existing); duplicate positions are an error."""
-        positions = np.asarray(positions, dtype=np.uint32)
-        values = np.asarray(values, dtype=np.uint64)
+        dropped (non-existing); duplicate positions are an error, and
+        so are positions outside [0, 2**32) and negative or
+        non-integral values, which a cast would silently wrap."""
+        positions = _as_uint(positions, np.uint32, "position")
+        values = _as_uint(values, np.uint64, "value")
         if len(positions) != len(values):
             raise ValueError("positions and values must align")
         nz = values != 0

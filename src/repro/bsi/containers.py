@@ -25,10 +25,6 @@ ARRAY_THRESHOLD = 4096
 BITSET_WORDS = 1024  # 65536 bits
 CONTAINER_BITS = 1 << 16
 
-# 8-bit popcount lookup table (kept for reference/tests); the hot path
-# uses the vectorised SWAR popcount below.
-_POPCNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint16)
-
 _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
 _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)

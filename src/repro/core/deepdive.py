@@ -3,15 +3,15 @@ exposed population (e.g. client-type = 1 AND client-version > 134).
 
 BSI path: each predicate on a dimension BSI yields a binary filter
 (``value = k`` / ``value > k`` ...); mulBSI of binary filters is their
-AND; the merged per-segment filter multiplies the expose filter before
-the usual scorecard sum — the extra step the paper calls negligible.
+AND; the merged per-segment filter rides on the expose rows into the
+scorecard kernel, which ANDs it onto the expose filter before the usual
+sum — the one extra multiplication the paper calls negligible.
 
 Normal path: the Catalyst equivalent — semi-joins of the expose log
-against the dimension rows satisfying each predicate.
+against the dimension rows satisfying each predicate, then the normal
+scorecard.
 """
 from __future__ import annotations
-
-from typing import Iterator
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -19,7 +19,7 @@ from pyspark.sql import functions as F
 
 from repro.bsi.bitmap import RoaringBitmap
 from repro.bsi.bsi import BSI
-from repro.core.scorecard import RESULT_SCHEMA
+from repro.core.scorecard import scorecard_bsi, scorecard_normal
 
 #: predicate ops usable on a dimension BSI
 _OPS = {"eq": "eq_const", "ne": "ne_const", "lt": "lt_const",
@@ -31,9 +31,10 @@ Predicate = tuple[str, str, int]  # (dimension_name, op, constant)
 def dim_filter_bsi(
     dim_bsi: DataFrame, *, predicates: list[Predicate], date: int
 ) -> DataFrame:
-    """Per-segment merged dimension filter: (segment_id, dim_filter).
+    """Per-segment merged dimension filter: (segment_id, dim_filter),
+    the filter a serialized :class:`RoaringBitmap`.
 
-    Each predicate produces a binary BSI; they are AND-merged (mulBSI
+    Each predicate produces a binary filter; they are AND-merged (mulBSI
     over binary BSIs, as in the §4.4 SQL's ``mulBSI(filter)``)."""
     names = sorted({p[0] for p in predicates})
     d = dim_bsi.filter(
@@ -56,7 +57,7 @@ def dim_filter_bsi(
         return pd.DataFrame(
             {
                 "segment_id": [int(pdf.iloc[0]["segment_id"])],
-                "dim_filter": [BSI.from_bitmap(acc).serialize()],
+                "dim_filter": [acc.serialize()],
             }
         )
 
@@ -64,33 +65,6 @@ def dim_filter_bsi(
     return d.groupBy("segment_id").applyInPandas(
         build, "segment_id int, dim_filter binary"
     )
-
-
-def _deepdive_rows(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    for pdf in it:
-        rows = []
-        for r in pdf.itertuples(index=False):
-            offset = BSI.deserialize(r.offset).densify()
-            value = BSI.deserialize(r.value).densify()
-            dimf = BSI.deserialize(r.dim_filter).densify().existence()
-            thr = int(r.date) - int(r.min_expose_date) + 1
-            flt = offset.le_const(thr) & dimf
-            rows.append(
-                (
-                    int(r.strategy_id),
-                    int(r.metric_id),
-                    int(r.segment_id),
-                    float(value.sum_filtered(flt)),
-                    int(flt.cardinality()),
-                )
-            )
-        yield pd.DataFrame(
-            rows,
-            columns=[
-                "strategy_id", "metric_id", "bucket_id",
-                "bucket_sum", "bucket_exposed",
-            ],
-        )
 
 
 def deepdive_bsi(
@@ -102,19 +76,13 @@ def deepdive_bsi(
     metric_ids: list[int],
     date: int,
     predicates: list[Predicate],
-    dim_date: int | None = None,
 ) -> DataFrame:
-    """Dimension-filtered scorecard on the BSI representation."""
-    flt = dim_filter_bsi(
-        dim_bsi, predicates=predicates, date=dim_date if dim_date is not None else date
-    )
-    e = expose_bsi.filter(F.col("strategy_id").isin([int(s) for s in strategy_ids]))
-    m = metric_bsi.filter(
-        (F.col("date") == date)
-        & F.col("metric_id").isin([int(x) for x in metric_ids])
-    )
-    return e.join(m, "segment_id").join(flt, "segment_id").mapInPandas(
-        _deepdive_rows, RESULT_SCHEMA
+    """Dimension-filtered scorecard on the BSI representation. A
+    segment where no one passes the predicates yields no rows."""
+    flt = dim_filter_bsi(dim_bsi, predicates=predicates, date=date)
+    return scorecard_bsi(
+        expose_bsi.join(flt, "segment_id"), metric_bsi,
+        strategy_ids=strategy_ids, metric_ids=metric_ids, date=date,
     )
 
 
@@ -127,43 +95,20 @@ def deepdive_normal(
     metric_ids: list[int],
     date: int,
     predicates: list[Predicate],
-    dim_date: int | None = None,
     bucket_col: str = "segment_id",
 ) -> DataFrame:
     """Catalyst baseline: semi-join expose against each predicate's
     qualifying units, then the normal scorecard aggregation."""
-    dd = dim_date if dim_date is not None else date
-    e = expose_df.filter(
-        F.col("strategy_id").isin([int(s) for s in strategy_ids])
-        & (F.col("first_expose_date") <= date)
-    )
     ops = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+    e = expose_df
     for name, op, k in predicates:
         qualifying = dim_df.filter(
-            (F.col("date") == dd)
+            (F.col("date") == date)
             & (F.col("dimension_name") == name)
             & F.expr(f"value {ops[op]} {int(k)}")
         ).select("analysis_unit_id")
         e = e.join(qualifying, "analysis_unit_id", "left_semi")
-    m = metric_df.filter(
-        (F.col("date") == date)
-        & F.col("metric_id").isin([int(x) for x in metric_ids])
-    )
-    m_clean = m.drop(*[c for c in (bucket_col,) if c in m.columns])
-    sums = (
-        e.join(m_clean, "analysis_unit_id")
-        .groupBy("strategy_id", "metric_id", F.col(bucket_col).alias("bucket_id"))
-        .agg(F.sum("value").cast("double").alias("bucket_sum"))
-    )
-    counts = e.groupBy(
-        "strategy_id", F.col(bucket_col).alias("bucket_id")
-    ).agg(F.count("*").alias("bucket_exposed"))
-    metrics = m.select("metric_id").distinct()
-    grid = counts.crossJoin(metrics)
-    return (
-        grid.join(sums, ["strategy_id", "metric_id", "bucket_id"], "left")
-        .fillna({"bucket_sum": 0.0})
-        .select(
-            "strategy_id", "metric_id", "bucket_id", "bucket_sum", "bucket_exposed"
-        )
+    return scorecard_normal(
+        e, metric_df, strategy_ids=strategy_ids, metric_ids=metric_ids, date=date,
+        bucket_col=bucket_col,
     )

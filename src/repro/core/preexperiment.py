@@ -3,8 +3,8 @@
 The covariate for a user is its metric sum over the C days preceding
 the experiment start. On the BSI representation this is ``sumBSI`` of
 the C daily value BSIs per segment — accelerated by the pre-aggregate
-tree (:mod:`repro.platform.preagg`, Figure 6) — joined with the expose
-log and filtered/summed exactly like a scorecard (§4.2).
+tree (:mod:`repro.platform.preagg`, Figure 6) — run through the
+scorecard kernel (§4.2) as one metric on the expose date.
 
 The normal baseline is the corresponding Catalyst pipeline on row
 logs (aggregate pre-period per user, join expose, group by bucket).
@@ -17,7 +17,7 @@ from pyspark.sql import functions as F
 
 from repro.bsi.bsi import BSI
 from repro.core import stats
-from repro.core.scorecard import RESULT_SCHEMA, _score_rows, bucket_frame_to_arrays
+from repro.core.scorecard import bucket_frame_to_arrays, normal_grid, score_frames
 from repro.platform.preagg import PreAggTree
 
 
@@ -81,11 +81,11 @@ def preexperiment_bsi(
     cov = preperiod_sum_bsi(
         metric_bsi, metric_id=metric_id, pre_lo=pre_lo, pre_hi=pre_hi,
         use_tree=use_tree,
-    ).withColumn("date", F.lit(expose_date))
+    )
     e = expose_bsi.filter(
         F.col("strategy_id").isin([int(s) for s in strategy_ids])
-    )
-    return e.join(cov, "segment_id").mapInPandas(_score_rows, RESULT_SCHEMA)
+    ).drop("bucket")
+    return score_frames(e, cov, date=expose_date, metric_ids=[metric_id])
 
 
 def preexperiment_normal(
@@ -109,28 +109,10 @@ def preexperiment_normal(
             (F.col("metric_id") == metric_id)
             & F.col("date").between(pre_lo, pre_hi)
         )
-        .groupBy("analysis_unit_id")
-        .agg(F.sum("value").alias("pre_value"))
+        .groupBy("analysis_unit_id", "metric_id")
+        .agg(F.sum("value").alias("value"))
     )
-    sums = (
-        e.join(m, "analysis_unit_id")
-        .groupBy("strategy_id", F.col(bucket_col).alias("bucket_id"))
-        .agg(F.sum("pre_value").cast("double").alias("bucket_sum"))
-    )
-    counts = e.groupBy(
-        "strategy_id", F.col(bucket_col).alias("bucket_id")
-    ).agg(F.count("*").alias("bucket_exposed"))
-    return (
-        counts.join(sums, ["strategy_id", "bucket_id"], "left")
-        .fillna({"bucket_sum": 0.0})
-        .select(
-            "strategy_id",
-            F.lit(metric_id).alias("metric_id"),
-            "bucket_id",
-            "bucket_sum",
-            "bucket_exposed",
-        )
-    )
+    return normal_grid(e, m, [metric_id], bucket_col)
 
 
 def cuped_analysis(

@@ -1,29 +1,37 @@
 """Scorecard computation (§4.2): per-bucket metric sums + exposed
 counts for strategy-metric pairs, in two interchangeable pipelines.
 
-**BSI pipeline** — the paper's method. Expose and metric logs are in
-their Table 2 BSI form; the two frames are joined on ``segment_id``
-(all BSIs of a segment are position-aligned by construction, §4.1.1),
-and per joined row the expose filter is the constant predicate
-``offset <= date - min_expose_date + 1``; the bucket value is
-``sum(value * filter)`` evaluated directly on slices.
+**BSI pipeline** — the paper's method, one kernel for every caller
+(:func:`score_segment`). All BSIs of a segment are position-aligned by
+construction (§4.1.1), so per segment and strategy the exposed users
+are the constant predicate ``offset <= date - min_expose_date + 1``
+on the offset BSI, optionally ANDed with a dimension filter (deep
+dive, §4.4) and split by the bucket BSI; each bucket value is then
+``sum(value * filter)`` evaluated directly on slices. The scorecard,
+the bucketed scorecard, the CUPED covariate (§4.3) and the deep dive
+all run it through one cogroup by ``segment_id``
+(:func:`score_frames`); the ad-hoc engine calls it in-process.
 
 **Normal pipeline** — the paper's pre-BSI baseline: plain Catalyst
 join / filter / groupBy over the row-format logs, exactly the Spark
-SQL shape printed in §4.2.
+SQL shape printed in §4.2 (:func:`normal_grid` is its shared tail).
 
 Both return the same schema so the statistical layer (:mod:`stats`)
 and the tests can diff them row-for-row:
 
     strategy_id, metric_id, bucket_id, bucket_sum, bucket_exposed
 
+Both produce the same grid: every (strategy, bucket) with at least one
+exposed user, times every requested metric. A metric with no rows in
+a bucket has ``bucket_sum`` 0 and the bucket's full exposed count.
+
 In the common case the analysis unit is the randomization unit and
-``bucket_id == segment_id`` (§3.3); the ``*_bucketed`` variants handle
+``bucket_id == segment_id`` (§3.3); the ``*_bucketed`` variant handles
 the general case where buckets come from the randomization-unit hash.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Mapping
 
 import numpy as np
 import pandas as pd
@@ -37,69 +45,125 @@ RESULT_SCHEMA = (
     "strategy_id long, metric_id long, bucket_id int, "
     "bucket_sum double, bucket_exposed long"
 )
+RESULT_COLUMNS = [
+    "strategy_id", "metric_id", "bucket_id", "bucket_sum", "bucket_exposed"
+]
+
+#: one strategy of a segment: (strategy_id, min_expose_date, offset, bucket)
+Expose = tuple[int, int, BSI, "BSI | None"]
 
 
 # -- BSI pipeline -----------------------------------------------------
-def _score_rows(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-    """mapInPandas kernel: one output row per (segment, strategy,
-    metric) join row; bucket == segment here."""
-    for pdf in it:
-        rows = []
-        for r in pdf.itertuples(index=False):
-            offset = BSI.deserialize(r.offset).densify()
-            value = BSI.deserialize(r.value).densify()
-            thr = int(r.date) - int(r.min_expose_date) + 1
-            flt = offset.le_const(thr)
-            rows.append(
-                (
-                    int(r.strategy_id),
-                    int(r.metric_id),
-                    int(r.segment_id),
-                    float(value.sum_filtered(flt)),
-                    int(flt.cardinality()),
-                )
-            )
-        yield pd.DataFrame(
-            rows,
-            columns=[
-                "strategy_id",
-                "metric_id",
-                "bucket_id",
-                "bucket_sum",
-                "bucket_exposed",
-            ],
-        )
+def score_segment(
+    exposes: Iterable[Expose],
+    metrics: Mapping[int, BSI],
+    *,
+    date: int,
+    metric_ids: list[int],
+    extra_filter: RoaringBitmap | None = None,
+    n_buckets: int | None = None,
+) -> list[tuple]:
+    """One segment's rows of the scorecard grid, over decoded BSIs.
 
+    ``metrics`` maps metric id to its value BSI on ``date``; a
+    requested id it lacks sums to 0. ``extra_filter`` is ANDed onto
+    every strategy's exposed users. With ``n_buckets`` each strategy's
+    filter is split once by its bucket BSI (which stores bucket + 1)
+    and reused for every metric; without it the segment is one bucket
+    and the rows carry bucket ``None`` for the caller to fill in.
 
-def _score_cogroup(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
-    """Cogrouped kernel: one segment's expose rows (strategies) x
-    metric rows. Every BSI is deserialized once per segment and every
-    expose filter computed once per strategy — the paper's 'each job
-    computes a batch of pairs to better utilise network traffic'."""
-    cols = ["strategy_id", "metric_id", "bucket_id", "bucket_sum", "bucket_exposed"]
-    if len(left) == 0 or len(right) == 0:
-        return pd.DataFrame(columns=cols)
-    metrics = [
-        (int(m.metric_id), BSI.deserialize(m.value).densify())
-        for m in right.itertuples(index=False)
-    ]
-    date = int(right.iloc[0]["date"])
+    Returns ``(strategy_id, metric_id, bucket, bucket_sum,
+    bucket_exposed)`` for every (strategy, bucket) with at least one
+    exposed user, times every id in ``metric_ids``."""
+    values = [(mid, metrics.get(mid)) for mid in metric_ids]
     rows = []
-    for e in left.itertuples(index=False):
-        offset = BSI.deserialize(e.offset).densify()
-        flt = offset.le_const(date - int(e.min_expose_date) + 1)
-        exposed = int(flt.cardinality())
-        for mid, value in metrics:
-            rows.append(
-                (
-                    int(e.strategy_id),
-                    mid,
-                    int(e.segment_id),
-                    float(value.sum_filtered(flt)),
-                    exposed,
-                )
+    for sid, min_date, offset, bucket in exposes:
+        flt = offset.le_const(date - min_date + 1)
+        if extra_filter is not None:
+            flt = flt & extra_filter
+        if n_buckets is None:
+            parts = [(None, flt)]
+        else:
+            parts = [(b, bucket.eq_const(b + 1) & flt) for b in range(n_buckets)]
+        for b, bm in parts:
+            exposed = bm.cardinality()
+            if not exposed:
+                continue
+            for mid, value in values:
+                total = value.sum_filtered(bm) if value is not None else 0
+                rows.append((sid, mid, b, float(total), exposed))
+    return rows
+
+
+def _decode(blob: bytes) -> BSI:
+    return BSI.deserialize(blob).densify()
+
+
+def score_frames(
+    e: DataFrame,
+    m: DataFrame,
+    *,
+    date: int,
+    metric_ids: list[int],
+    n_buckets: int | None = None,
+) -> DataFrame:
+    """Run :func:`score_segment` once per segment over BSI frames.
+
+    ``e`` holds one segment's strategies (``segment_id, strategy_id,
+    min_expose_date, offset``, plus ``bucket`` when ``n_buckets`` is
+    given and an optional per-segment ``dim_filter`` bitmap blob); ``m``
+    holds its metric blobs (``segment_id, metric_id, value``). The two
+    are cogrouped by ``segment_id`` so each blob crosses the wire once
+    per batch, not once per pair — the paper's 'each job computes a
+    batch of pairs to better utilise network traffic'. A segment with
+    no metric rows still yields its exposed buckets, with sum 0."""
+    metric_ids = [int(x) for x in metric_ids]
+
+    def per_segment(left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
+        if len(left) == 0:
+            return pd.DataFrame(columns=RESULT_COLUMNS)
+        exposes = [
+            (
+                int(r.strategy_id),
+                int(r.min_expose_date),
+                _decode(r.offset),
+                _decode(r.bucket) if n_buckets is not None else None,
             )
-    return pd.DataFrame(rows, columns=cols)
+            for r in left.itertuples(index=False)
+        ]
+        metrics = {
+            int(r.metric_id): _decode(r.value) for r in right.itertuples(index=False)
+        }
+        extra = None
+        if "dim_filter" in left.columns:
+            extra = RoaringBitmap.deserialize(left["dim_filter"].iloc[0])
+        out = pd.DataFrame(
+            score_segment(
+                exposes, metrics, date=date, metric_ids=metric_ids,
+                extra_filter=extra, n_buckets=n_buckets,
+            ),
+            columns=RESULT_COLUMNS,
+        )
+        if n_buckets is None:
+            out["bucket_id"] = int(left["segment_id"].iloc[0])
+        return out
+
+    return (
+        e.groupBy("segment_id")
+        .cogroup(m.groupBy("segment_id"))
+        .applyInPandas(per_segment, RESULT_SCHEMA)
+    )
+
+
+def _select(
+    expose_bsi: DataFrame, metric_bsi: DataFrame, strategy_ids, metric_ids, date
+) -> tuple[DataFrame, DataFrame]:
+    e = expose_bsi.filter(F.col("strategy_id").isin([int(s) for s in strategy_ids]))
+    m = metric_bsi.filter(
+        (F.col("date") == date)
+        & F.col("metric_id").isin([int(x) for x in metric_ids])
+    )
+    return e, m
 
 
 def scorecard_bsi(
@@ -111,60 +175,9 @@ def scorecard_bsi(
     date: int,
 ) -> DataFrame:
     """Single-day scorecard for a batch of strategy-metric pairs on the
-    BSI representation (bucket == segment case). Expose and metric BSI
-    frames are cogrouped per segment so each blob crosses the wire
-    once per batch, not once per pair."""
-    e = expose_bsi.filter(F.col("strategy_id").isin([int(s) for s in strategy_ids]))
-    m = metric_bsi.filter(
-        (F.col("date") == date)
-        & F.col("metric_id").isin([int(x) for x in metric_ids])
-    )
-    return (
-        e.groupBy("segment_id")
-        .cogroup(m.groupBy("segment_id"))
-        .applyInPandas(_score_cogroup, RESULT_SCHEMA)
-    )
-
-
-def _score_rows_bucketed(n_buckets: int):
-    """mapInPandas kernel for the general segment != bucket case
-    (§4.2): per segment, sum filtered values by bucket-id BSI, emitting
-    one row per (pair, bucket); the caller merges across segments."""
-
-    def fn(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in it:
-            rows = []
-            for r in pdf.itertuples(index=False):
-                offset = BSI.deserialize(r.offset).densify()
-                value = BSI.deserialize(r.value).densify()
-                bucket = BSI.deserialize(r.bucket).densify()
-                thr = int(r.date) - int(r.min_expose_date) + 1
-                flt = offset.le_const(thr)
-                for b in range(n_buckets):
-                    bm = bucket.eq_const(b + 1) & flt
-                    if not bm:
-                        continue
-                    rows.append(
-                        (
-                            int(r.strategy_id),
-                            int(r.metric_id),
-                            b,
-                            float(value.sum_filtered(bm)),
-                            int(bm.cardinality()),
-                        )
-                    )
-            yield pd.DataFrame(
-                rows,
-                columns=[
-                    "strategy_id",
-                    "metric_id",
-                    "bucket_id",
-                    "bucket_sum",
-                    "bucket_exposed",
-                ],
-            )
-
-    return fn
+    BSI representation (bucket == segment case)."""
+    e, m = _select(expose_bsi, metric_bsi, strategy_ids, metric_ids, date)
+    return score_frames(e.drop("bucket"), m, date=date, metric_ids=metric_ids)
 
 
 def scorecard_bsi_bucketed(
@@ -177,14 +190,11 @@ def scorecard_bsi_bucketed(
     n_buckets: int,
 ) -> DataFrame:
     """General-case scorecard: buckets from the randomization-unit
-    hash; per-segment partial bucket values merged across segments."""
-    e = expose_bsi.filter(F.col("strategy_id").isin([int(s) for s in strategy_ids]))
-    m = metric_bsi.filter(
-        (F.col("date") == date)
-        & F.col("metric_id").isin([int(x) for x in metric_ids])
-    )
-    per_segment = e.join(m, "segment_id").mapInPandas(
-        _score_rows_bucketed(n_buckets), RESULT_SCHEMA
+    hash; per-segment partial bucket values merged across segments.
+    ``n_buckets`` must match the bucket BSI's encoding."""
+    e, m = _select(expose_bsi, metric_bsi, strategy_ids, metric_ids, date)
+    per_segment = score_frames(
+        e, m, date=date, metric_ids=metric_ids, n_buckets=n_buckets
     )
     return per_segment.groupBy("strategy_id", "metric_id", "bucket_id").agg(
         F.sum("bucket_sum").alias("bucket_sum"),
@@ -193,6 +203,34 @@ def scorecard_bsi_bucketed(
 
 
 # -- normal-format pipeline (the paper's pre-BSI baseline) ------------
+def normal_grid(
+    e: DataFrame, m: DataFrame, metric_ids: list[int], bucket_col: str
+) -> DataFrame:
+    """Catalyst counts/sums/grid over already-filtered row logs.
+
+    ``e`` holds the exposed users (``strategy_id, analysis_unit_id,
+    bucket_col``); ``m`` their metric rows (``analysis_unit_id,
+    metric_id, value``). The exposed count comes from the expose log
+    alone (a metric mean is per exposed user, §4.2), the sum from the
+    expose ⋈ metric join; every exposed (strategy, bucket) gets a row
+    for each requested metric."""
+    bucket = F.col(bucket_col).alias("bucket_id")
+    sums = (
+        e.join(m.select("analysis_unit_id", "metric_id", "value"), "analysis_unit_id")
+        .groupBy("strategy_id", "metric_id", bucket)
+        .agg(F.sum("value").cast("double").alias("bucket_sum"))
+    )
+    counts = e.groupBy("strategy_id", bucket).agg(F.count("*").alias("bucket_exposed"))
+    grid = counts.withColumn(
+        "metric_id", F.explode(F.array(*[F.lit(int(x)).cast("long") for x in metric_ids]))
+    )
+    return (
+        grid.join(sums, ["strategy_id", "metric_id", "bucket_id"], "left")
+        .fillna({"bucket_sum": 0.0})
+        .select(*RESULT_COLUMNS)
+    )
+
+
 def scorecard_normal(
     expose_df: DataFrame,
     metric_df: DataFrame,
@@ -205,9 +243,7 @@ def scorecard_normal(
     """Catalyst join/filter/groupBy scorecard over row-format logs.
 
     ``bucket_col`` is ``segment_id`` in the common case; pass a
-    precomputed bucket column for the general case. The exposed count
-    comes from the expose log alone (a metric mean is per exposed
-    user, §4.2), the sum from the expose ⋈ metric join."""
+    precomputed bucket column for the general case."""
     e = expose_df.filter(
         F.col("strategy_id").isin([int(s) for s in strategy_ids])
         & (F.col("first_expose_date") <= date)
@@ -216,26 +252,7 @@ def scorecard_normal(
         (F.col("date") == date)
         & F.col("metric_id").isin([int(x) for x in metric_ids])
     )
-    # the metric side may carry its own segment_id; bucket attribution
-    # comes from the expose side, so drop duplicates before the join
-    m_clean = m.drop(*[c for c in (bucket_col,) if c in m.columns])
-    sums = (
-        e.join(m_clean, "analysis_unit_id")
-        .groupBy("strategy_id", "metric_id", F.col(bucket_col).alias("bucket_id"))
-        .agg(F.sum("value").cast("double").alias("bucket_sum"))
-    )
-    counts = e.groupBy(
-        "strategy_id", F.col(bucket_col).alias("bucket_id")
-    ).agg(F.count("*").alias("bucket_exposed"))
-    metrics = m.select("metric_id").distinct()
-    grid = counts.crossJoin(metrics)
-    return (
-        grid.join(sums, ["strategy_id", "metric_id", "bucket_id"], "left")
-        .fillna({"bucket_sum": 0.0})
-        .select(
-            "strategy_id", "metric_id", "bucket_id", "bucket_sum", "bucket_exposed"
-        )
-    )
+    return normal_grid(e, m, metric_ids, bucket_col)
 
 
 # -- bridging to the stats layer --------------------------------------

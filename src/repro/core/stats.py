@@ -103,36 +103,6 @@ def ttest(
     return TTestResult(t.mean, c.mean, diff, rel, se, z, p)
 
 
-@dataclass(frozen=True)
-class CupedResult:
-    """CUPED-adjusted estimate (§4.3, Deng et al. [5])."""
-
-    theta: float
-    raw_var: float
-    adjusted_var: float
-    variance_reduction: float  # 1 - adjusted/raw
-    adjusted_bucket_values: np.ndarray
-
-
-def cuped_adjust(
-    y_sums, y_counts, x_sums, x_counts
-) -> CupedResult:
-    """CUPED on bucket replicates: regress the experiment-period bucket
-    means y_i on the pre-experiment bucket means x_i, subtract
-    theta * (x_i - mean(x)). Returns the adjusted replicate values whose
-    variance drives the sharper t-test."""
-    y = np.asarray(y_sums, np.float64) / np.maximum(np.asarray(y_counts, np.float64), 1)
-    x = np.asarray(x_sums, np.float64) / np.maximum(np.asarray(x_counts, np.float64), 1)
-    vx = x.var(ddof=1)
-    theta = float(np.cov(y, x, ddof=1)[0, 1] / vx) if vx > 0 else 0.0
-    adj = y - theta * (x - x.mean())
-    k = len(y)
-    raw_var = y.var(ddof=1) / k
-    adj_var = adj.var(ddof=1) / k
-    red = 1.0 - adj_var / raw_var if raw_var > 0 else 0.0
-    return CupedResult(theta, raw_var, adj_var, red, adj)
-
-
 def cuped_two_sample(
     t_y, t_n, t_x, c_y, c_n, c_x
 ) -> tuple[float, np.ndarray, np.ndarray]:

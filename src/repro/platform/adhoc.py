@@ -6,25 +6,30 @@ hot data; BSI ops are built into the engine. Here the same topology is
 one process: a per-segment in-memory store, a thread pool fanning a
 query out over segments, and two query methods sharing the store:
 
-- ``query_bsi``      — the paper's BSI method: expose-offset constant
-  predicate -> filter bitmap -> ``sum_filtered`` on the value BSI.
+- ``query_bsi``      — the paper's BSI method: the scorecard kernel
+  (:func:`repro.core.scorecard.score_segment`) per segment and date —
+  expose-offset constant predicate -> filter bitmap ->
+  ``sum_filtered`` on the value BSI.
 - ``query_normal``   — the paper's pre-BSI method (§6.3): per-day
   exposed-user bitmaps cached per strategy; scan the normal-format
   metric rows, membership-filter by the bitmap, aggregate.
 
 Both answer "for strategies S x metrics M x dates D: exposed count and
-value sum per (s, m, d)", the Table 8 workload shape.
+value sum per (s, m, d)", the Table 8 workload shape, with one row for
+every requested (s, m, d).
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 import pandas as pd
 
 from repro.bsi.bitmap import RoaringBitmap
 from repro.bsi.bsi import BSI
+from repro.core.scorecard import score_segment
 from repro.platform import hashing as H
 from repro.platform.encode import encoding_pandas
 
@@ -86,7 +91,7 @@ class AdhocEngine:
             # hot cached compute form: bitset containers (§5.3 keeps
             # hot data resident; densify is our SIMD-op equivalent)
             s.metric_bsi[(int(mid), int(d))] = BSI.from_arrays(
-                pos_of.loc[uids].to_numpy().astype(np.uint32), vals
+                pos_of.loc[uids].to_numpy(), vals
             ).densify()
 
         for (seg, sid), grp in expose_pdf.groupby(["segment_id", "strategy_id"]):
@@ -96,7 +101,7 @@ class AdhocEngine:
             pos = pos_of.loc[grp["analysis_unit_id"].to_numpy()].to_numpy()
             s.expose_bsi[int(sid)] = (
                 min_date,
-                BSI.from_arrays(pos.astype(np.uint32), fed - min_date + 1).densify(),
+                BSI.from_arrays(pos, fed - min_date + 1).densify(),
             )
             uids = grp["analysis_unit_id"].to_numpy()
             for d in dates:
@@ -106,44 +111,55 @@ class AdhocEngine:
         return eng
 
     # -- queries ------------------------------------------------------
-    def _fan_out(self, per_segment) -> pd.DataFrame:
+    def _fan_out(self, per_segment, strategy_ids, metric_ids, dates) -> pd.DataFrame:
+        """Run ``per_segment`` over every segment and add up its
+        ``(strategy_id, metric_id, date, value_sum, exposed)`` tuples
+        onto the full requested grid."""
         if self.workers <= 1:
             parts = [per_segment(i) for i in range(self.n_segments)]
         else:
             with ThreadPoolExecutor(max_workers=self.workers) as ex:
                 parts = list(ex.map(per_segment, range(self.n_segments)))
-        out = pd.concat(parts, ignore_index=True)
-        return (
-            out.groupby(["strategy_id", "metric_id", "date"], as_index=False)[
-                ["value_sum", "exposed"]
-            ].sum()
+        grid = {key: [0.0, 0] for key in product(strategy_ids, metric_ids, dates)}
+        for rows in parts:
+            for sid, mid, d, v, n in rows:
+                cell = grid[(sid, mid, d)]
+                cell[0] += v
+                cell[1] += n
+        return pd.DataFrame(
+            [(*key, v, n) for key, (v, n) in grid.items()],
+            columns=["strategy_id", "metric_id", "date", "value_sum", "exposed"],
         )
 
     def query_bsi(
         self, *, strategy_ids: list[int], metric_ids: list[int], dates: list[int]
     ) -> pd.DataFrame:
-        """BSI method: constant predicate on the offset BSI, then
-        sum_filtered on each value BSI."""
+        """BSI method: the scorecard kernel over each segment's store,
+        once per date."""
 
-        def per_segment(i: int) -> pd.DataFrame:
+        def per_segment(i: int) -> list[tuple]:
             s = self.segments[i]
+            exposes = [
+                (sid, *s.expose_bsi[sid], None)
+                for sid in strategy_ids
+                if sid in s.expose_bsi
+            ]
             rows = []
-            for sid in strategy_ids:
-                if sid not in s.expose_bsi:
-                    continue
-                min_date, offset = s.expose_bsi[sid]
-                for d in dates:
-                    flt = offset.le_const(d - min_date + 1)
-                    exposed = flt.cardinality()
-                    for mid in metric_ids:
-                        b = s.metric_bsi.get((mid, d))
-                        v = float(b.sum_filtered(flt)) if b is not None else 0.0
-                        rows.append((sid, mid, d, v, exposed))
-            return pd.DataFrame(
-                rows, columns=["strategy_id", "metric_id", "date", "value_sum", "exposed"]
-            )
+            for d in dates:
+                metrics = {
+                    mid: s.metric_bsi[(mid, d)]
+                    for mid in metric_ids
+                    if (mid, d) in s.metric_bsi
+                }
+                rows += [
+                    (sid, mid, d, v, n)
+                    for sid, mid, _, v, n in score_segment(
+                        exposes, metrics, date=d, metric_ids=metric_ids
+                    )
+                ]
+            return rows
 
-        return self._fan_out(per_segment)
+        return self._fan_out(per_segment, strategy_ids, metric_ids, dates)
 
     def query_normal(
         self, *, strategy_ids: list[int], metric_ids: list[int], dates: list[int]
@@ -151,7 +167,7 @@ class AdhocEngine:
         """Normal method (§6.3): cached per-day exposed-user bitmaps;
         scan metric rows, membership-filter, aggregate."""
 
-        def per_segment(i: int) -> pd.DataFrame:
+        def per_segment(i: int) -> list[tuple]:
             s = self.segments[i]
             rows = []
             for sid in strategy_ids:
@@ -168,8 +184,6 @@ class AdhocEngine:
                         uids, vals = rec
                         mask = bm.contains_array(uids)
                         rows.append((sid, mid, d, float(vals[mask].sum()), exposed))
-            return pd.DataFrame(
-                rows, columns=["strategy_id", "metric_id", "date", "value_sum", "exposed"]
-            )
+            return rows
 
-        return self._fan_out(per_segment)
+        return self._fan_out(per_segment, strategy_ids, metric_ids, dates)

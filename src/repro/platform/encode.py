@@ -3,7 +3,7 @@
 Position encoding assigns each analysis unit a dense position within
 its segment, high-engagement users first (§3.4.1) — that is what makes
 the roaring bitmaps under the BSI compact. It is computed once per
-universe with a Spark window and joined into every log conversion.
+universe (:func:`encoding_pandas`) and joined into every log conversion.
 
 Conversions produce the paper's Table 2 layouts, with each BSI shipped
 as a serialized blob in a ``BinaryType`` column:
@@ -22,43 +22,15 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import Window
-from pyspark.sql import functions as F
 
 from repro.bsi.bsi import BSI
 from repro.platform import hashing as H
 
 
-def build_encoding(users: DataFrame) -> DataFrame:
-    """(analysis_unit_id, engagement, segment_id?) -> adds segment_id
-    if missing and a dense 0-based ``position`` per segment, ordered by
-    engagement desc (ties by id for determinism)."""
-    if "segment_id" not in users.columns:
-        raise ValueError("users frame must carry segment_id (use with_segments)")
-    w = Window.partitionBy("segment_id").orderBy(
-        F.desc("engagement"), F.asc("analysis_unit_id")
-    )
-    return users.select(
-        "analysis_unit_id",
-        "segment_id",
-        (F.row_number().over(w) - F.lit(1)).alias("position"),
-    )
-
-
-def with_segments(users: DataFrame, n_segments: int) -> DataFrame:
-    """Attach the deterministic segment id (§3.2) to a user universe.
-
-    Uses a pandas round-trip of just the id column so the hash is the
-    exact same numpy mixer the generators and the oracle use."""
-    pdf = users.select("analysis_unit_id").toPandas()
-    pdf["segment_id"] = H.segment_of(pdf["analysis_unit_id"].to_numpy(), n_segments)
-    seg = users.sparkSession.createDataFrame(pdf)
-    return users.join(seg, "analysis_unit_id")
-
-
 def encoding_pandas(users_pdf: pd.DataFrame) -> pd.DataFrame:
-    """Pure-pandas twin of :func:`build_encoding` for the in-process
-    engine and tests; identical output by construction."""
+    """(analysis_unit_id, engagement, segment_id) -> a dense 0-based
+    ``position`` per segment, ordered by engagement desc (ties by id
+    for determinism)."""
     df = users_pdf.sort_values(
         ["segment_id", "engagement", "analysis_unit_id"],
         ascending=[True, False, True],
@@ -68,7 +40,7 @@ def encoding_pandas(users_pdf: pd.DataFrame) -> pd.DataFrame:
 
 
 def _bsi_blob(pos: np.ndarray, vals: np.ndarray) -> bytes:
-    return BSI.from_arrays(pos.astype(np.uint32), vals.astype(np.uint64)).serialize()
+    return BSI.from_arrays(pos, vals).serialize()
 
 
 def metric_log_to_bsi(metric_df: DataFrame, encoding: DataFrame) -> DataFrame:

@@ -1,7 +1,7 @@
 """Synthetic expose / metric / dimension logs (§3.1, Table 1).
 
 Generators are deterministic in their seeds and produce pandas frames
-(cheap, oracle-friendly); ``*_spark`` wrappers lift them to Spark.
+(cheap, oracle-friendly).
 Distributional shape follows §3.5:
 
 - metric values are Lomax/Pareto-ish, concentrated near 0 within each
@@ -23,11 +23,10 @@ Dates are integer day indexes (1-based), as discussed in DESIGN.md.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.metrics105 import MetricSpec
 from repro.platform import hashing as H
@@ -188,20 +187,3 @@ def apply_multiplicative_effect(
         1, np.round(out.loc[m, "value"] * multiplier)
     ).astype(np.int64)
     return out
-
-
-# -- Spark wrappers ---------------------------------------------------
-def metric_log_spark(spark: SparkSession, *args, **kw) -> DataFrame:
-    return spark.createDataFrame(metric_log_pandas(*args, **kw))
-
-
-def expose_log_spark(spark: SparkSession, *args, **kw) -> DataFrame:
-    return spark.createDataFrame(expose_log_pandas(*args, **kw))
-
-
-def dimension_log_spark(spark: SparkSession, *args, **kw) -> DataFrame:
-    return spark.createDataFrame(dimension_log_pandas(*args, **kw))
-
-
-def user_universe_spark(spark: SparkSession, n_users: int) -> DataFrame:
-    return spark.createDataFrame(user_universe(n_users))

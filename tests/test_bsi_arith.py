@@ -102,6 +102,27 @@ def test_duplicate_positions_rejected():
         BSI.from_arrays([1, 1], [2, 3])
 
 
+# a uint cast would store these silently as 2**64 - 1, 1 and 1
+def test_negative_value_rejected():
+    with pytest.raises(ValueError, match="negative value"):
+        BSI.from_arrays(np.array([0, 1]), np.array([3, -1]))
+
+
+def test_non_integral_value_rejected():
+    with pytest.raises(ValueError, match="non-integral value"):
+        BSI.from_arrays(np.array([0, 1]), np.array([2.0, 1.7]))
+
+
+def test_position_beyond_uint32_rejected():
+    with pytest.raises(ValueError, match="position too large"):
+        BSI.from_arrays(np.array([0, 2**32 + 1]), np.array([1, 1]))
+
+
+def test_integral_floats_and_top_position_accepted():
+    b = BSI.from_arrays(np.array([0, 2**32 - 1]), np.array([2.0, 7.0]))
+    assert as_dict(b) == {0: 2, 2**32 - 1: 7}
+
+
 def test_serde_roundtrip():
     for d, _ in PAIRS:
         b = ref(d)

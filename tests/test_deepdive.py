@@ -6,10 +6,14 @@ import pytest
 from repro.core import deepdive as DD
 from repro.oracle import assert_equivalent
 from repro.platform import hashing as H
-from tests.conftest import N_SEGMENTS
+from tests.conftest import ALL_STRATEGIES, SPARSE_SPEC
+from tests.test_scorecard import oracle_sql
 
 # the §4.4 example: client-type = 1 AND client-version > 134
 PAPER_PREDICATES = [("client-type", "eq", 1), ("client-version", "gt", 134)]
+# about 2% of users: nobody passes in many of the sparse world's segments
+RARE_PREDICATES = [("client-type", "eq", 5), ("client-version", "ge", 145)]
+SQL_OPS = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
 def _sorted(pdf):
@@ -83,9 +87,9 @@ def test_dim_filter_counts(world):
     flt = DD.dim_filter_bsi(
         world.dim_bsi, predicates=PAPER_PREDICATES, date=3
     ).toPandas()
-    from repro.bsi.bsi import BSI
+    from repro.bsi.bitmap import RoaringBitmap
 
-    got = sum(BSI.deserialize(b).count() for b in flt["dim_filter"])
+    got = sum(RoaringBitmap.deserialize(b).cardinality() for b in flt["dim_filter"])
     d = world.dim[world.dim.date == 3]
     ct = d[(d.dimension_name == "client-type") & (d.value == 1)]["analysis_unit_id"]
     cv = d[(d.dimension_name == "client-version") & (d.value > 134)]["analysis_unit_id"]
@@ -107,3 +111,25 @@ def test_filtered_population_subset_of_unfiltered(world):
     assert dd["bucket_exposed"].sum() < full["bucket_exposed"].sum()
     assert dd["bucket_sum"].sum() <= full["bucket_sum"].sum()
     assert dd["bucket_exposed"].sum() > 0
+
+
+@pytest.mark.parametrize("predicates", [PAPER_PREDICATES, RARE_PREDICATES])
+def test_sparse_bsi_equals_normal_equals_oracle(sparse_world, predicates):
+    w = sparse_world
+    date = 3
+    metrics = [1, SPARSE_SPEC.metric_id]
+    where = " ".join(
+        f"AND analysis_unit_id IN (SELECT analysis_unit_id FROM dim WHERE "
+        f"date = {date} AND dimension_name = '{name}' AND value {SQL_OPS[op]} {k})"
+        for name, op, k in predicates
+    )
+    sql = oracle_sql(ALL_STRATEGIES, metrics, date, where=where)
+    kw = dict(strategy_ids=ALL_STRATEGIES, metric_ids=metrics, date=date,
+              predicates=predicates)
+    bsi = DD.deepdive_bsi(w.expose_bsi, w.metric_bsi, w.dim_bsi, **kw)
+    normal = DD.deepdive_normal(w.expose_sdf, w.metric_sdf, w.dim_sdf, **kw)
+    assert_equivalent(bsi, sql, expose=w.expose, metric=w.metric, dim=w.dim)
+    assert_equivalent(normal, sql, expose=w.expose, metric=w.metric, dim=w.dim)
+    if predicates is RARE_PREDICATES:
+        exposed = w.expose[w.expose.first_expose_date <= date]
+        assert bsi.toPandas()["bucket_id"].nunique() < exposed["segment_id"].nunique()

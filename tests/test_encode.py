@@ -130,3 +130,12 @@ def test_dimension_bsi_values(world):
         segment_id=H.segment_of(world.users["analysis_unit_id"].to_numpy(), N_SEGMENTS)
     )["segment_id"] == row.segment_id).sum()
     assert b.count() == seg_users
+
+
+def test_conversion_rejects_negative_values(world, spark):
+    """A bad metric value fails the conversion instead of being stored
+    as a wrapped 64-bit integer."""
+    bad = world.metric[world.metric.date == 1].head(50).copy()
+    bad.loc[bad.index[0], "value"] = -1
+    with pytest.raises(Exception, match="negative value"):
+        encode.metric_log_to_bsi(spark.createDataFrame(bad), world.encoding).collect()

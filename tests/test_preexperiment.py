@@ -7,7 +7,7 @@ import pytest
 from repro.core import preexperiment as PE
 from repro.core import scorecard as SC
 from repro.oracle import assert_equivalent
-from tests.conftest import N_SEGMENTS
+from tests.conftest import ALL_STRATEGIES, N_SEGMENTS, SPARSE_N_SEGMENTS, SPARSE_SPEC
 
 
 def _sorted(pdf):
@@ -44,32 +44,59 @@ def test_tree_equals_linear(world):
     pd.testing.assert_frame_equal(a, b)
 
 
+PRE_SQL = """
+WITH e AS (
+  SELECT * FROM expose
+  WHERE strategy_id IN ({strategies}) AND first_expose_date <= {expose_date}
+), m AS (
+  SELECT analysis_unit_id, SUM(value) AS pre_value
+  FROM metric WHERE metric_id = {metric} AND date BETWEEN {pre_lo} AND {pre_hi}
+  GROUP BY 1
+), counts AS (
+  SELECT strategy_id, segment_id AS bucket_id, COUNT(*) AS bucket_exposed
+  FROM e GROUP BY 1, 2
+), sums AS (
+  SELECT e.strategy_id, e.segment_id AS bucket_id,
+         CAST(SUM(m.pre_value) AS DOUBLE) AS bucket_sum
+  FROM e JOIN m USING (analysis_unit_id) GROUP BY 1, 2
+)
+SELECT c.strategy_id, CAST({metric} AS BIGINT) AS metric_id, c.bucket_id,
+       COALESCE(s.bucket_sum, 0.0) AS bucket_sum, c.bucket_exposed
+FROM counts c LEFT JOIN sums s USING (strategy_id, bucket_id)
+"""
+
+
+def pre_sql(strategy_ids, metric_id, pre_lo, pre_hi, expose_date):
+    return PRE_SQL.format(
+        strategies=",".join(map(str, strategy_ids)), metric=metric_id,
+        pre_lo=pre_lo, pre_hi=pre_hi, expose_date=expose_date,
+    )
+
+
 def test_normal_vs_duckdb_oracle(world):
     out = PE.preexperiment_normal(
         world.expose_sdf, world.metric_sdf,
         strategy_ids=[11, 12], metric_id=3, pre_lo=1, pre_hi=3, expose_date=5,
     )
-    sql = """
-    WITH e AS (
-      SELECT * FROM expose
-      WHERE strategy_id IN (11, 12) AND first_expose_date <= 5
-    ), m AS (
-      SELECT analysis_unit_id, SUM(value) AS pre_value
-      FROM metric WHERE metric_id = 3 AND date BETWEEN 1 AND 3
-      GROUP BY 1
-    ), counts AS (
-      SELECT strategy_id, segment_id AS bucket_id, COUNT(*) AS bucket_exposed
-      FROM e GROUP BY 1, 2
-    ), sums AS (
-      SELECT e.strategy_id, e.segment_id AS bucket_id,
-             CAST(SUM(m.pre_value) AS DOUBLE) AS bucket_sum
-      FROM e JOIN m USING (analysis_unit_id) GROUP BY 1, 2
-    )
-    SELECT c.strategy_id, CAST(3 AS BIGINT) AS metric_id, c.bucket_id,
-           COALESCE(s.bucket_sum, 0.0) AS bucket_sum, c.bucket_exposed
-    FROM counts c LEFT JOIN sums s USING (strategy_id, bucket_id)
-    """
+    sql = pre_sql([11, 12], 3, 1, 3, 5)
     assert_equivalent(out, sql, expose=world.expose, metric=world.metric)
+
+
+def test_sparse_bsi_equals_normal_equals_oracle(sparse_world):
+    """A covariate with no pre-period rows in some segments still
+    covers every exposed (strategy, segment), with sum 0 there."""
+    w = sparse_world
+    kw = dict(strategy_ids=ALL_STRATEGIES, metric_id=SPARSE_SPEC.metric_id,
+              pre_lo=1, pre_hi=3, expose_date=5)
+    pre = w.metric[
+        (w.metric.metric_id == SPARSE_SPEC.metric_id) & (w.metric.date <= 3)
+    ]
+    assert pre["segment_id"].nunique() < SPARSE_N_SEGMENTS
+    sql = pre_sql(ALL_STRATEGIES, SPARSE_SPEC.metric_id, 1, 3, 5)
+    bsi = PE.preexperiment_bsi(w.expose_bsi, w.metric_bsi, **kw)
+    normal = PE.preexperiment_normal(w.expose_sdf, w.metric_sdf, **kw)
+    assert_equivalent(bsi, sql, expose=w.expose, metric=w.metric)
+    assert_equivalent(normal, sql, expose=w.expose, metric=w.metric)
 
 
 def test_preperiod_sum_totals(world):

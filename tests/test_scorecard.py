@@ -7,7 +7,16 @@ import pytest
 from repro.core import scorecard as SC
 from repro.oracle import assert_equivalent
 from repro.platform import hashing as H
-from tests.conftest import ALL_STRATEGIES, N_SEGMENTS
+from tests.conftest import (
+    ALL_STRATEGIES,
+    N_SEGMENTS,
+    SPARSE_N_BUCKETS,
+    SPARSE_N_SEGMENTS,
+    SPARSE_SPEC,
+)
+
+# the sparse world's metrics, plus an id with no rows on any day
+SPARSE_METRICS = [1, 2, 3, SPARSE_SPEC.metric_id, 99]
 
 
 def _sorted(pdf):
@@ -19,20 +28,20 @@ def _sorted(pdf):
 ORACLE_SQL = """
 WITH e AS (
   SELECT * FROM expose
-  WHERE strategy_id IN ({strategies}) AND first_expose_date <= {date}
+  WHERE strategy_id IN ({strategies}) AND first_expose_date <= {date} {where}
 ), m AS (
   SELECT * FROM metric WHERE date = {date} AND metric_id IN ({metrics})
 ), counts AS (
-  SELECT strategy_id, segment_id AS bucket_id, COUNT(*) AS bucket_exposed
+  SELECT strategy_id, {bucket} AS bucket_id, COUNT(*) AS bucket_exposed
   FROM e GROUP BY 1, 2
 ), sums AS (
-  SELECT e.strategy_id, m.metric_id, e.segment_id AS bucket_id,
+  SELECT e.strategy_id, m.metric_id, e.{bucket} AS bucket_id,
          CAST(SUM(m.value) AS DOUBLE) AS bucket_sum
   FROM e JOIN m ON e.analysis_unit_id = m.analysis_unit_id
   GROUP BY 1, 2, 3
 ), grid AS (
   SELECT c.strategy_id, mm.metric_id, c.bucket_id, c.bucket_exposed
-  FROM counts c CROSS JOIN (SELECT DISTINCT metric_id FROM m) mm
+  FROM counts c CROSS JOIN (VALUES {metric_rows}) mm(metric_id)
 )
 SELECT g.strategy_id, g.metric_id, g.bucket_id,
        COALESCE(s.bucket_sum, 0.0) AS bucket_sum,
@@ -42,11 +51,16 @@ LEFT JOIN sums s USING (strategy_id, metric_id, bucket_id)
 """
 
 
-def oracle_sql(strategies, metrics, date):
+def oracle_sql(strategies, metrics, date, *, bucket="segment_id", where=""):
+    """Every exposed (strategy, bucket) x every requested metric;
+    ``where`` narrows the exposed users (an ``AND ...`` clause)."""
     return ORACLE_SQL.format(
         strategies=",".join(map(str, strategies)),
         metrics=",".join(map(str, metrics)),
+        metric_rows=",".join(f"({int(m)})" for m in metrics),
         date=date,
+        bucket=bucket,
+        where=where,
     )
 
 
@@ -152,3 +166,43 @@ def test_bucket_frame_to_arrays(world):
     assert len(sums) == N_SEGMENTS
     assert sums.sum() == pdf["bucket_sum"].sum()
     assert counts.sum() == pdf["bucket_exposed"].sum()
+
+
+def _assert_sparse_metric_missing_in_most_segments(w, date):
+    """The premise of the sparse tests: most segments with exposed users
+    have no row of the sparse metric on ``date``."""
+    m = w.metric[
+        (w.metric.date == date) & (w.metric.metric_id == SPARSE_SPEC.metric_id)
+    ]
+    exposed = set(w.expose[w.expose.first_expose_date <= date]["segment_id"])
+    assert len(exposed - set(m["segment_id"])) > SPARSE_N_SEGMENTS // 2
+
+
+@pytest.mark.parametrize("date", [1, 4])
+def test_sparse_bsi_equals_normal_equals_oracle(sparse_world, date):
+    w = sparse_world
+    _assert_sparse_metric_missing_in_most_segments(w, date)
+    kw = dict(strategy_ids=ALL_STRATEGIES, metric_ids=SPARSE_METRICS, date=date)
+    sql = oracle_sql(ALL_STRATEGIES, SPARSE_METRICS, date)
+    bsi = SC.scorecard_bsi(w.expose_bsi, w.metric_bsi, **kw)
+    normal = SC.scorecard_normal(w.expose_sdf, w.metric_sdf, **kw)
+    assert_equivalent(bsi, sql, expose=w.expose, metric=w.metric)
+    assert_equivalent(normal, sql, expose=w.expose, metric=w.metric)
+
+
+def test_sparse_bucketed_equals_normal_equals_oracle(sparse_world, spark):
+    """segment != bucket (32 segments, 12 buckets) on the sparse world."""
+    w = sparse_world
+    _assert_sparse_metric_missing_in_most_segments(w, 4)
+    rand_ids = w.expose["randomization_unit_id"].to_numpy()
+    expose = w.expose.assign(bucket_id=H.bucket_of(rand_ids, SPARSE_N_BUCKETS))
+    kw = dict(strategy_ids=ALL_STRATEGIES, metric_ids=SPARSE_METRICS, date=4)
+    sql = oracle_sql(ALL_STRATEGIES, SPARSE_METRICS, 4, bucket="bucket_id")
+    bsi = SC.scorecard_bsi_bucketed(
+        w.expose_bsi, w.metric_bsi, n_buckets=SPARSE_N_BUCKETS, **kw
+    )
+    normal = SC.scorecard_normal(
+        spark.createDataFrame(expose), w.metric_sdf, bucket_col="bucket_id", **kw
+    )
+    assert_equivalent(bsi, sql, expose=expose, metric=w.metric)
+    assert_equivalent(normal, sql, expose=expose, metric=w.metric)
