@@ -21,6 +21,18 @@ from repro.bsi import containers as C
 _MAGIC = b"RB1"
 
 
+def check_room(buf: bytes, off: int, n: int, what: str) -> None:
+    """Raise ValueError unless ``buf`` holds ``n`` bytes from ``off``."""
+    if off + n > len(buf):
+        raise ValueError(f"truncated {what} blob: {len(buf)} bytes, {off + n} needed")
+
+
+def check_end(buf: bytes, off: int, what: str) -> None:
+    """Raise ValueError unless the blob ends exactly at ``off``."""
+    if off != len(buf):
+        raise ValueError(f"{len(buf) - off} trailing bytes after the {what} blob")
+
+
 class RoaringBitmap:
     """A set of uint32 positions stored in roaring containers."""
 
@@ -212,29 +224,37 @@ class RoaringBitmap:
 
     @classmethod
     def deserialize(cls, buf: bytes) -> "RoaringBitmap":
+        """Inverse of :meth:`serialize`. Raises ValueError on a bad
+        magic, a truncated blob, an unknown container kind or trailing
+        bytes."""
+        check_room(buf, 0, 7, "RoaringBitmap")
         if buf[:3] != _MAGIC:
             raise ValueError("bad RoaringBitmap magic")
         (n,) = struct.unpack_from("<I", buf, 3)
         off = 7
         out: dict[int, np.ndarray] = {}
         for _ in range(n):
+            check_room(buf, off, 7, "RoaringBitmap")
             k, kind, m = struct.unpack_from("<HBI", buf, off)
             off += 7
+            if kind > 2:
+                raise ValueError(f"unknown RoaringBitmap container kind {kind} (key {k})")
+            size = (2 * m, 8 * C.BITSET_WORDS, 4 * m)[kind]  # array, bitset, runs
+            check_room(buf, off, size, "RoaringBitmap")
             if kind == 0:
                 c = np.frombuffer(buf, dtype=np.uint16, count=m, offset=off).copy()
-                off += 2 * m
             elif kind == 1:
                 c = np.frombuffer(
                     buf, dtype=np.uint64, count=C.BITSET_WORDS, offset=off
                 ).copy()
-                off += 8 * C.BITSET_WORDS
-            else:  # runs
+            else:
                 runs = np.frombuffer(
                     buf, dtype=np.uint16, count=2 * m, offset=off
                 ).reshape(m, 2)
-                off += 4 * m
                 c = C.normalize(C.positions_from_runs(runs))
+            off += size
             out[k] = c
+        check_end(buf, off, "RoaringBitmap")
         return cls(out)
 
     def nbytes(self) -> int:

@@ -20,16 +20,20 @@ Implemented operations:
 - in-BSI aggregates: ``sum``, ``count``, ``mean``, ``min``, ``max``,
   ``rank_value`` / ``quantile`` / ``median``;
 - aggregates over BSIs (§4.1.3): :func:`sum_bsi`, :func:`max_bsi`,
-  :func:`mul_bsi`, :func:`distinct_pos`.
+  :func:`mul_bsi`, :func:`distinct_pos`;
+- the batched filtered sum :func:`sums_filtered` (every filter ×
+  every value BSI, one popcount pass per cache-sized block), which
+  ``sum``, ``sum_filtered`` and the scorecard kernel run on.
 """
 from __future__ import annotations
 
 import struct
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.bsi.bitmap import RoaringBitmap
+from repro.bsi import containers as C
+from repro.bsi.bitmap import RoaringBitmap, check_end, check_room
 
 _MAGIC = b"BS1"
 _EMPTY = RoaringBitmap.empty()
@@ -259,74 +263,57 @@ class BSI:
         return other.lt(self) | self.eq(other)
 
     # -- BSI-vs-constant predicates -----------------------------------
-    def _cmp_const(self, k: int) -> tuple[RoaringBitmap, RoaringBitmap, RoaringBitmap]:
-        """(lt, eq, gt) bitmaps vs constant k over existing rows."""
+    def _cmp_const(self, k: int, side: str | None) -> tuple[RoaringBitmap, RoaringBitmap]:
+        """``(eq, acc)`` vs constant k over existing rows: ``eq`` holds
+        the rows == k and ``acc`` the rows < k (``side="lt"``), > k
+        (``"gt"``) or none (``None``). Scanning slices from the top,
+        only the accumulator asked for is built."""
         ex = self.existence()
-        if k <= 0:
-            # every existing value is >= 1 > k >= ... (values positive)
-            return _EMPTY, _EMPTY, ex.copy()
-        nbits = max(len(self.slices), k.bit_length())
-        eq = ex.copy()
-        lt = _EMPTY
-        gt = _EMPTY
-        for i in range(nbits - 1, -1, -1):
-            xi = self.slice_at(i)
+        if k <= 0:  # every existing value is >= 1 > k
+            return _EMPTY, ex.copy() if side == "gt" else _EMPTY
+        if k.bit_length() > len(self.slices):  # every value < 2**nslices <= k
+            return _EMPTY, ex.copy() if side == "lt" else _EMPTY
+        eq, acc = ex, _EMPTY
+        for i in range(len(self.slices) - 1, -1, -1):
+            xi = self.slices[i]
             if (k >> i) & 1:
-                lt = lt | eq.andnot(xi)
+                if side == "lt":
+                    acc = acc | eq.andnot(xi)
                 eq = eq & xi
             else:
-                gt = gt | (eq & xi)
+                if side == "gt":
+                    acc = acc | (eq & xi)
                 eq = eq.andnot(xi)
-        return lt, eq, gt
+        return eq, acc
 
     def lt_const(self, k: int) -> RoaringBitmap:
-        return self._cmp_const(k)[0]
+        return self._cmp_const(k, "lt")[1]
 
     def eq_const(self, k: int) -> RoaringBitmap:
-        return self._cmp_const(k)[1]
+        return self._cmp_const(k, None)[0]
 
     def gt_const(self, k: int) -> RoaringBitmap:
-        return self._cmp_const(k)[2]
+        return self._cmp_const(k, "gt")[1]
 
     def le_const(self, k: int) -> RoaringBitmap:
-        lt, eq, _ = self._cmp_const(k)
+        eq, lt = self._cmp_const(k, "lt")
         return lt | eq
 
     def ge_const(self, k: int) -> RoaringBitmap:
-        _, eq, gt = self._cmp_const(k)
+        eq, gt = self._cmp_const(k, "gt")
         return gt | eq
 
     def ne_const(self, k: int) -> RoaringBitmap:
-        lt, _, gt = self._cmp_const(k)
-        return lt | gt
+        return self.existence().andnot(self.eq_const(k))
 
     def range_search(self, lo: int, hi: int) -> RoaringBitmap:
         """Rows with lo <= value <= hi (existing rows only)."""
         return self.ge_const(lo) & self.le_const(hi)
 
     # -- in-BSI aggregates --------------------------------------------
-    # The two hot aggregates below reach into the bitmaps' container
-    # dicts (same library, containers immutable) so a whole stack of
-    # bitset slices is popcounted in one numpy pass.
     def sum(self) -> int:
         """Sum of all values: sum_i 2**i * card(slice_i)."""
-        import repro.bsi.containers as C
-
-        total = 0
-        stack: dict[int, tuple[list, list]] = {}
-        for i, s in enumerate(self.slices):
-            for k, c in s._c.items():
-                if C.is_array(c):
-                    total += len(c) << i
-                else:
-                    rows, weights = stack.setdefault(k, ([], []))
-                    rows.append(c)
-                    weights.append(i)
-        for rows, weights in stack.values():
-            counts = C.popcount_rows(np.vstack(rows))
-            for w, n in zip(weights, counts):
-                total += int(n) << w
-        return total
+        return sums_filtered([self], [self.existence()])[0][0]
 
     def count(self) -> int:
         """Number of existing (non-zero) rows."""
@@ -335,29 +322,7 @@ class BSI:
     def sum_filtered(self, bm: RoaringBitmap) -> int:
         """Sum of values at positions in ``bm`` without materialising
         the filtered BSI: sum_i 2**i * card(slice_i AND bm)."""
-        import repro.bsi.containers as C
-
-        if not bm:
-            return 0
-        total = 0
-        for k, fc in bm._c.items():
-            rows: list = []
-            weights: list = []
-            for i, s in enumerate(self.slices):
-                c = s._c.get(k)
-                if c is None:
-                    continue
-                if C.is_array(c):
-                    total += int(C.contains(fc, c).sum()) << i
-                else:
-                    rows.append(c)
-                    weights.append(i)
-            if rows:
-                fb = fc if C.is_bitset(fc) else C.array_to_bitset(fc)
-                counts = C.popcount_rows(np.vstack(rows) & fb)
-                for w, n in zip(weights, counts):
-                    total += int(n) << w
-        return total
+        return sums_filtered([self], [bm])[0][0]
 
     def mean(self) -> float:
         n = self.count()
@@ -430,16 +395,21 @@ class BSI:
 
     @classmethod
     def deserialize(cls, buf: bytes) -> "BSI":
+        """Inverse of :meth:`serialize`. Raises ValueError on a bad
+        magic, a truncated or corrupt slice, or trailing bytes."""
+        check_room(buf, 0, 4, "BSI")
         if buf[:3] != _MAGIC:
             raise ValueError("bad BSI magic")
-        (n,) = struct.unpack_from("<B", buf, 3)
         off = 4
         slices = []
-        for _ in range(n):
+        for _ in range(buf[3]):
+            check_room(buf, off, 4, "BSI")
             (m,) = struct.unpack_from("<I", buf, off)
             off += 4
+            check_room(buf, off, m, "BSI")
             slices.append(RoaringBitmap.deserialize(buf[off : off + m]))
             off += m
+        check_end(buf, off, "BSI")
         return cls(slices)
 
     def nbytes(self) -> int:
@@ -448,6 +418,96 @@ class BSI:
 
 
 # -- aggregate functions over BSIs (§4.1.3) ---------------------------
+#: Words ANDed and popcounted per pass of :func:`sums_filtered`: the
+#: row chunk and two working buffers, 512 KB each at most, stay in a
+#: core's L2 cache, where a stack of every value's slices at full
+#: container width would not. Buffers no bigger also keep the heap
+#: from fragmenting: stacking a full query's rows at once (1.8 MB)
+#: raised the ad-hoc benchmark's peak RSS by 4%.
+_CHUNK_WORDS = 1 << 16
+
+#: Slice count up to which a value's per-container weighted sum fits an
+#: int64: a row counts at most 2**16 bits, so sum_i count_i * 2**i is
+#: below 2**(16 + nslices) <= 2**63. Wider values sum in Python ints.
+_INT64_SLICES = 47
+
+
+def sums_filtered(
+    values: Sequence[BSI | None], filters: Sequence[RoaringBitmap]
+) -> list[list[int]]:
+    """``out[f][v]``: the exact sum of ``values[v]`` over the positions
+    in ``filters[f]`` (0 for a ``None`` value).
+
+    The batched form of :meth:`BSI.sum_filtered`. Per container key of
+    the filters, every value's bitset slices for that key are gathered
+    once, cut to the filters' joint nonzero-word span ``[lo, hi)``, and
+    shared by all filters: each filter is ANDed with them and
+    popcounted in blocks of at most :data:`_CHUNK_WORDS` words, in
+    place, into buffers reused across blocks. Array slice containers
+    are counted by membership instead."""
+    # Reaches into the bitmaps' container dicts (same library;
+    # containers are immutable and only the kernel's own buffers are
+    # written).
+    totals = np.zeros((len(filters), len(values)), dtype=object)
+    by_key: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for f, bm in enumerate(filters):
+        for k, fc in bm._c.items():
+            by_key.setdefault(k, []).append(
+                (f, fc if C.is_bitset(fc) else C.array_to_bitset(fc))
+            )
+    for k, fcs in by_key.items():
+        rows, row_value, row_slice = [], [], []
+        for v, x in enumerate(values):
+            for i, s in enumerate(x.slices if x is not None else ()):
+                c = s._c.get(k)
+                if c is None:
+                    continue
+                if C.is_array(c):
+                    for f, fb in fcs:
+                        totals[f, v] += int(C.contains(fb, c).sum()) << i
+                else:
+                    rows.append(c)
+                    row_value.append(v)
+                    row_slice.append(i)
+        words = [w for _, fb in fcs if len(w := np.flatnonzero(fb))]
+        if not rows or not words:
+            continue
+        lo = min(int(w[0]) for w in words)
+        span = max(int(w[-1]) for w in words) + 1 - lo
+        n_f, n_r = len(fcs), len(rows)
+        # a block is a chunk of rows times the filters that fit with it
+        # (all rows and several filters, or fewer rows and one filter)
+        per_block = max(1, _CHUNK_WORDS // span)
+        r_step = min(n_r, per_block)
+        f_step = min(n_f, max(1, per_block // n_r))
+        buf = np.empty(f_step * r_step * span, dtype=np.uint64)
+        tmp = np.empty_like(buf)
+        counts = np.empty((n_f, n_r), dtype=np.int64)
+        for r0 in range(0, n_r, r_step):
+            r1 = min(r0 + r_step, n_r)
+            m = np.stack([c[lo : lo + span] for c in rows[r0:r1]])
+            for f0 in range(0, n_f, f_step):
+                f1 = min(f0 + f_step, n_f)
+                n = (f1 - f0) * (r1 - r0) * span
+                out = buf[:n].reshape(f1 - f0, r1 - r0, span)
+                fblock = np.stack([fb[lo : lo + span] for _, fb in fcs[f0:f1]])
+                np.bitwise_and(m[None], fblock[:, None], out=out)
+                counts[f0:f1, r0:r1] = C.popcount_rows(
+                    out.reshape(-1, span), tmp[:n].reshape(-1, span)
+                ).reshape(f1 - f0, r1 - r0)
+        shifts = np.array(row_slice)
+        row_value = np.array(row_value)
+        starts = np.flatnonzero(np.diff(row_value, prepend=-1))
+        if shifts.max() < _INT64_SLICES:
+            sums = np.add.reduceat(counts << shifts, starts, axis=1).astype(object)
+        else:
+            sums = np.add.reduceat(
+                counts.astype(object) << shifts.astype(object), starts, axis=1
+            )
+        totals[np.ix_([f for f, _ in fcs], row_value[starts])] += sums
+    return totals.tolist()
+
+
 def sum_bsi(bsis: Iterable[BSI]) -> BSI:
     """sumBSI: add all BSIs together (row-wise)."""
     acc = BSI()

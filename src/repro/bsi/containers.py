@@ -31,22 +31,31 @@ _M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
 _H01 = np.uint64(0x0101010101010101)
 
 
-def _popcount_words(x: np.ndarray) -> int:
-    """Vectorised SWAR popcount over a uint64 vector."""
-    x = x - ((x >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return int(((x * _H01) >> np.uint64(56)).sum())
+def _swar(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """SWAR popcount of every uint64 word of ``x``, in place (``t`` is
+    scratch of the same shape); returns ``x``, now one count per word."""
+    np.right_shift(x, np.uint64(1), out=t)
+    t &= _M1
+    x -= t
+    np.right_shift(x, np.uint64(2), out=t)
+    t &= _M2
+    x &= _M2
+    x += t
+    np.right_shift(x, np.uint64(4), out=t)
+    x += t
+    x &= _M4
+    x *= _H01
+    x >>= np.uint64(56)
+    return x
 
 
-def popcount_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise SWAR popcount of a 2-D uint64 matrix — one numpy pass
-    for a whole stack of bitset containers (the batched aggregate
-    kernels in :mod:`repro.bsi.bsi` rely on this)."""
-    x = m - ((m >> np.uint64(1)) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    return ((x * _H01) >> np.uint64(56)).sum(axis=1)
+def popcount_rows(m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Row-wise popcount of a 2-D uint64 matrix — one numpy pass for a
+    whole stack of bitset containers (the batched aggregate kernel
+    :func:`repro.bsi.bsi.sums_filtered` relies on this). The SWAR runs
+    in place: ``m`` is overwritten, ``scratch`` (a buffer of ``m``'s
+    shape) is clobbered, and only the row sums are allocated."""
+    return _swar(m, scratch).sum(axis=1)
 
 
 def is_array(c: np.ndarray) -> bool:
@@ -65,7 +74,7 @@ def card(c: np.ndarray | None) -> int:
         return 0
     if is_array(c):
         return len(c)
-    return _popcount_words(c)
+    return int(_swar(c.copy(), np.empty_like(c)).sum())
 
 
 def array_to_bitset(a: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ counts for strategy-metric pairs, in two interchangeable pipelines.
 construction (§4.1.1), so per segment and strategy the exposed users
 are the constant predicate ``offset <= date - min_expose_date + 1``
 on the offset BSI, optionally ANDed with a dimension filter (deep
-dive, §4.4) and split by the bucket BSI; each bucket value is then
-``sum(value * filter)`` evaluated directly on slices. The scorecard,
+dive, §4.4) and split by the bucket BSI; the segment's bucket values,
+``sum(value * filter)`` evaluated directly on slices, then come from
+one batched call (:func:`repro.bsi.bsi.sums_filtered`) over all its
+(strategy, bucket) filters and requested metrics. The scorecard,
 the bucketed scorecard, the CUPED covariate (§4.3) and the deep dive
 all run it through one cogroup by ``segment_id``
 (:func:`score_frames`); the ad-hoc engine calls it in-process.
@@ -39,7 +41,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.bsi.bitmap import RoaringBitmap
-from repro.bsi.bsi import BSI
+from repro.bsi.bsi import BSI, sums_filtered
 
 RESULT_SCHEMA = (
     "strategy_id long, metric_id long, bucket_id int, "
@@ -68,15 +70,16 @@ def score_segment(
     ``metrics`` maps metric id to its value BSI on ``date``; a
     requested id it lacks sums to 0. ``extra_filter`` is ANDed onto
     every strategy's exposed users. With ``n_buckets`` each strategy's
-    filter is split once by its bucket BSI (which stores bucket + 1)
-    and reused for every metric; without it the segment is one bucket
-    and the rows carry bucket ``None`` for the caller to fill in.
+    filter is split once by its bucket BSI (which stores bucket + 1);
+    without it the segment is one bucket and the rows carry bucket
+    ``None`` for the caller to fill in. Every (strategy, bucket) filter
+    is then summed against every metric in one :func:`sums_filtered`
+    call.
 
     Returns ``(strategy_id, metric_id, bucket, bucket_sum,
     bucket_exposed)`` for every (strategy, bucket) with at least one
     exposed user, times every id in ``metric_ids``."""
-    values = [(mid, metrics.get(mid)) for mid in metric_ids]
-    rows = []
+    cells = []  # (strategy, bucket, filter, exposed count)
     for sid, min_date, offset, bucket in exposes:
         flt = offset.le_const(date - min_date + 1)
         if extra_filter is not None:
@@ -87,12 +90,16 @@ def score_segment(
             parts = [(b, bucket.eq_const(b + 1) & flt) for b in range(n_buckets)]
         for b, bm in parts:
             exposed = bm.cardinality()
-            if not exposed:
-                continue
-            for mid, value in values:
-                total = value.sum_filtered(bm) if value is not None else 0
-                rows.append((sid, mid, b, float(total), exposed))
-    return rows
+            if exposed:
+                cells.append((sid, b, bm, exposed))
+    sums = sums_filtered(
+        [metrics.get(mid) for mid in metric_ids], [bm for _, _, bm, _ in cells]
+    )
+    return [
+        (sid, mid, b, float(total), exposed)
+        for (sid, b, _, exposed), row in zip(cells, sums)
+        for mid, total in zip(metric_ids, row)
+    ]
 
 
 def _decode(blob: bytes) -> BSI:

@@ -8,8 +8,9 @@ query out over segments, and two query methods sharing the store:
 
 - ``query_bsi``      — the paper's BSI method: the scorecard kernel
   (:func:`repro.core.scorecard.score_segment`) per segment and date —
-  expose-offset constant predicate -> filter bitmap ->
-  ``sum_filtered`` on the value BSI.
+  expose-offset constant predicate -> one filter bitmap per strategy
+  -> one batched filtered sum (:func:`repro.bsi.bsi.sums_filtered`)
+  over every requested metric's value BSI.
 - ``query_normal``   — the paper's pre-BSI method (§6.3): per-day
   exposed-user bitmaps cached per strategy; scan the normal-format
   metric rows, membership-filter by the bitmap, aggregate.

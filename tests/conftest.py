@@ -1,6 +1,6 @@
 """Shared fixtures: small deterministic experiment 'worlds' with raw
 logs (pandas), their Spark frames and their BSI conversions — a dense
-one built once per test session and a sparse one per test module."""
+one and a sparse one, each built once per test session."""
 from dataclasses import dataclass
 
 import pandas as pd
@@ -95,7 +95,7 @@ def world(spark) -> World:
     return _build_world(spark, specs=SPECS, n_segments=N_SEGMENTS, n_buckets=N_SEGMENTS)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def sparse_world(spark):
     """Same users and experiments over 32 segments, plus a metric at
     0.4% participation: on any day most segments hold none of its

@@ -69,3 +69,18 @@ def test_cmp_with_zero_rows_excluded():
     bx, by = ref(x), ref(y)
     for op in ("lt", "le", "gt", "ge", "eq", "ne"):
         assert bmset(getattr(bx, op)(by)) <= {2}
+
+
+@pytest.mark.parametrize("k", [-5, -1, 0, 1, 6, 7, 8, 9, 2**70])
+def test_const_predicates_edge_constants(k):
+    # values up to 7 take 3 slices: k <= 0 lies below every value and
+    # k >= 2**3 above every value, so both answer without a slice scan
+    x = {1: 7, 2: 3, 70_000: 1, 70_001: 6, 200_000: 7}
+    bx = ref(x)
+    assert bx.nslices() == 3
+    assert bmset(bx.lt_const(k)) == {p for p, v in x.items() if v < k}
+    assert bmset(bx.le_const(k)) == {p for p, v in x.items() if v <= k}
+    assert bmset(bx.gt_const(k)) == {p for p, v in x.items() if v > k}
+    assert bmset(bx.ge_const(k)) == {p for p, v in x.items() if v >= k}
+    assert bmset(bx.eq_const(k)) == {p for p, v in x.items() if v == k}
+    assert bmset(bx.ne_const(k)) == {p for p, v in x.items() if v != k}
