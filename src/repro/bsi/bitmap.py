@@ -13,6 +13,7 @@ stable across processes — used to ship bitmaps through Spark
 from __future__ import annotations
 
 import struct
+from typing import Iterable
 
 import numpy as np
 
@@ -33,6 +34,20 @@ def check_end(buf: bytes, off: int, what: str) -> None:
         raise ValueError(f"{len(buf) - off} trailing bytes after the {what} blob")
 
 
+def key_pieces(pos: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The low 16 bits of a sorted uint32 position vector, and the
+    ``(key, start, end)`` piece of it that each high-16-bit key spans."""
+    hi = pos >> np.uint32(16)
+    lo = (pos & np.uint32(0xFFFF)).astype(np.uint16)
+    bounds = [0, *(np.flatnonzero(hi[1:] != hi[:-1]) + 1).tolist(), len(pos)]
+    return lo, [(int(hi[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
+def _payload_size(kind: int, count: int) -> int:
+    """Payload bytes of a serialized container: array, bitset, runs."""
+    return (2 * count, 8 * C.BITSET_WORDS, 4 * count)[kind]
+
+
 class RoaringBitmap:
     """A set of uint32 positions stored in roaring containers."""
 
@@ -50,21 +65,21 @@ class RoaringBitmap:
     @classmethod
     def from_array(cls, pos) -> "RoaringBitmap":
         """Build from any integer vector of positions (deduplicated)."""
-        pos = np.asarray(pos, dtype=np.uint32)
-        if len(pos) == 0:
-            return cls()
-        pos = np.unique(pos)
-        hi = (pos >> np.uint32(16)).astype(np.int64)
-        lo = (pos & np.uint32(0xFFFF)).astype(np.uint16)
-        out: dict[int, np.ndarray] = {}
-        # positions are sorted, so each key is one contiguous run
-        keys, starts = np.unique(hi, return_index=True)
-        bounds = list(starts) + [len(pos)]
-        for i, k in enumerate(keys):
-            seg = lo[bounds[i] : bounds[i + 1]]
-            c = seg if len(seg) < C.ARRAY_THRESHOLD else C.array_to_bitset(seg)
-            out[int(k)] = c
-        return cls(out)
+        lo, pieces = key_pieces(np.unique(np.asarray(pos, dtype=np.uint32)))
+        return cls.from_sorted((k, lo[a:b]) for k, a, b in pieces)
+
+    @classmethod
+    def from_sorted(cls, pieces: Iterable[tuple[int, np.ndarray]]) -> "RoaringBitmap":
+        """Build from ``(key, low 16 bits)`` pieces, each sorted and
+        duplicate-free (not checked), no key twice; empty pieces are
+        skipped. A piece becomes an array container below the 4096
+        threshold, else a bitset, exactly as :meth:`from_array` makes
+        it."""
+        return cls({
+            k: lo if len(lo) < C.ARRAY_THRESHOLD else C.array_to_bitset(lo)
+            for k, lo in pieces
+            if len(lo)
+        })
 
     def copy(self) -> "RoaringBitmap":
         return RoaringBitmap({k: v.copy() for k, v in self._c.items()})
@@ -196,18 +211,28 @@ class RoaringBitmap:
 
     # -- serde --------------------------------------------------------
     @staticmethod
-    def _encode_container(c: np.ndarray) -> tuple[int, int, bytes]:
-        """(kind, count_field, payload) choosing the smallest of the
-        three roaring encodings: 0=array, 1=bitset, 2=runs."""
-        pos = C.to_positions(c)
-        runs = C.runs_from_positions(pos)
-        array_bytes = 2 * len(pos)
-        run_bytes = 4 * len(runs)
-        if run_bytes < min(array_bytes, 8 * C.BITSET_WORDS):
-            return 2, len(runs), runs.tobytes()
-        if array_bytes <= 8 * C.BITSET_WORDS:
-            return 0, len(pos), pos.tobytes()
-        return 1, 0, (c if C.is_bitset(c) else C.array_to_bitset(pos)).tobytes()
+    def _encoding(c: np.ndarray) -> tuple[int, int]:
+        """(kind, count field) of the smallest of the three roaring
+        encodings: 0=array (count: positions), 1=bitset (count 0),
+        2=runs (count: runs). Cardinality and runs are counted on a
+        bitset's words, so no positions are built to choose."""
+        n, runs = C.card(c), C.run_count(c)
+        if 4 * runs < min(2 * n, 8 * C.BITSET_WORDS):
+            return 2, runs
+        if 2 * n <= 8 * C.BITSET_WORDS:
+            return 0, n
+        return 1, 0
+
+    @classmethod
+    def _encode_container(cls, c: np.ndarray) -> tuple[int, int, bytes]:
+        """(kind, count_field, payload) of the smallest encoding;
+        positions are built only when the array or run encoding wins."""
+        kind, count = cls._encoding(c)
+        if kind == 2:
+            return kind, count, C.runs_from_positions(C.to_positions(c)).tobytes()
+        if kind == 0:
+            return kind, count, C.to_positions(c).tobytes()
+        return kind, count, (c if C.is_bitset(c) else C.array_to_bitset(c)).tobytes()
 
     def serialize(self) -> bytes:
         """Compact byte encoding: magic, container count, then per
@@ -225,32 +250,54 @@ class RoaringBitmap:
     @classmethod
     def deserialize(cls, buf: bytes) -> "RoaringBitmap":
         """Inverse of :meth:`serialize`. Raises ValueError on a bad
-        magic, a truncated blob, an unknown container kind or trailing
-        bytes."""
+        magic, a truncated blob, an unknown container kind, trailing
+        bytes, and on a container that no bitmap serializes to: keys
+        not increasing, an empty container, an array payload not
+        strictly increasing, or runs that overlap, are out of order or
+        pass 65535."""
         check_room(buf, 0, 7, "RoaringBitmap")
         if buf[:3] != _MAGIC:
             raise ValueError("bad RoaringBitmap magic")
         (n,) = struct.unpack_from("<I", buf, 3)
         off = 7
         out: dict[int, np.ndarray] = {}
+        prev = -1
         for _ in range(n):
             check_room(buf, off, 7, "RoaringBitmap")
             k, kind, m = struct.unpack_from("<HBI", buf, off)
             off += 7
             if kind > 2:
                 raise ValueError(f"unknown RoaringBitmap container kind {kind} (key {k})")
-            size = (2 * m, 8 * C.BITSET_WORDS, 4 * m)[kind]  # array, bitset, runs
+            if k <= prev:
+                raise ValueError(f"RoaringBitmap container key {k} after key {prev}")
+            prev = k
+            size = _payload_size(kind, m)
             check_room(buf, off, size, "RoaringBitmap")
-            if kind == 0:
-                c = np.frombuffer(buf, dtype=np.uint16, count=m, offset=off).copy()
-            elif kind == 1:
+            if kind == 1:
                 c = np.frombuffer(
                     buf, dtype=np.uint64, count=C.BITSET_WORDS, offset=off
                 ).copy()
+                if not c.any():
+                    raise ValueError(f"empty RoaringBitmap container (key {k})")
+            elif m == 0:
+                raise ValueError(f"empty RoaringBitmap container (key {k})")
+            elif kind == 0:
+                c = np.frombuffer(buf, dtype=np.uint16, count=m, offset=off).copy()
+                if (c[1:] <= c[:-1]).any():
+                    raise ValueError(
+                        f"RoaringBitmap array container not sorted and unique (key {k})"
+                    )
             else:
                 runs = np.frombuffer(
                     buf, dtype=np.uint16, count=2 * m, offset=off
                 ).reshape(m, 2)
+                ends = runs[:, 0].astype(np.int32) + runs[:, 1]
+                if (runs[1:, 0] <= ends[:-1]).any():
+                    raise ValueError(
+                        f"RoaringBitmap runs overlap or are out of order (key {k})"
+                    )
+                if ends[-1] > 0xFFFF:  # ordered runs: the last ends last
+                    raise ValueError(f"RoaringBitmap run passes 65535 (key {k})")
                 c = C.normalize(C.positions_from_runs(runs))
             off += size
             out[k] = c
@@ -262,6 +309,6 @@ class RoaringBitmap:
         self.compact()
         n = 7
         for c in self._c.values():
-            _, _, payload = self._encode_container(c)
-            n += 7 + len(payload)
+            kind, count = self._encoding(c)
+            n += 7 + _payload_size(kind, count)
         return n

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.bsi import containers as C
-from repro.bsi.bitmap import RoaringBitmap, check_end, check_room
+from repro.bsi.bitmap import RoaringBitmap, check_end, check_room, key_pieces
 
 _MAGIC = b"BS1"
 _EMPTY = RoaringBitmap.empty()
@@ -77,23 +77,31 @@ class BSI:
         """Build from parallel position/value vectors. Zero values are
         dropped (non-existing); duplicate positions are an error, and
         so are positions outside [0, 2**32) and negative or
-        non-integral values, which a cast would silently wrap."""
+        non-integral values, which a cast would silently wrap.
+
+        The input is sorted by position and split by container key
+        once; every slice then takes a sorted, duplicate-free
+        subsequence of each key's low bits, so its bitmap is built
+        without a sort of its own."""
         positions = _as_uint(positions, np.uint32, "position")
         values = _as_uint(values, np.uint64, "value")
         if len(positions) != len(values):
             raise ValueError("positions and values must align")
         nz = values != 0
         positions, values = positions[nz], values[nz]
-        if len(np.unique(positions)) != len(positions):
-            raise ValueError("duplicate positions in BSI input")
         if len(values) == 0:
             return cls()
-        nbits = int(values.max()).bit_length()
-        slices = []
-        for i in range(nbits):
-            mask = (values >> np.uint64(i)) & np.uint64(1) == 1
-            slices.append(RoaringBitmap.from_array(positions[mask]))
-        return cls(slices)
+        order = np.argsort(positions)
+        positions, values = positions[order], values[order]
+        if (positions[1:] == positions[:-1]).any():
+            raise ValueError("duplicate positions in BSI input")
+        lo, spans = key_pieces(positions)
+        pieces = [(k, lo[a:b], values[a:b]) for k, a, b in spans]
+        bits = np.uint64(1) << np.arange(int(values.max()).bit_length(), dtype=np.uint64)
+        return cls([
+            RoaringBitmap.from_sorted((k, p[(v & bit).astype(bool)]) for k, p, v in pieces)
+            for bit in bits
+        ])
 
     @classmethod
     def from_bitmap(cls, bm: RoaringBitmap) -> "BSI":

@@ -154,8 +154,25 @@ def runs_from_positions(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def run_count(c: np.ndarray) -> int:
+    """Number of runs of consecutive positions in ``c``. A bitset's runs
+    are counted on its words, as CRoaring does: a run starts at every
+    set bit whose lower neighbour is clear, i.e. at the set bits of
+    ``x & ~((x << 1) | carry)``, the carry being the previous word's
+    bit 63."""
+    if is_array(c):
+        return int(np.count_nonzero(np.diff(c.astype(np.int32)) != 1)) + (len(c) > 0)
+    starts = np.empty_like(c)
+    starts[0] = 0
+    np.right_shift(c[:-1], np.uint64(63), out=starts[1:])
+    starts |= c << np.uint64(1)
+    np.bitwise_and(c, ~starts, out=starts)
+    return int(_swar(starts, np.empty_like(c)).sum())
+
+
 def positions_from_runs(runs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`runs_from_positions`."""
+    """Inverse of :func:`runs_from_positions`. The runs must be sorted,
+    disjoint and end by 65535 (the blob decoder checks this)."""
     if len(runs) == 0:
         return np.empty(0, dtype=np.uint16)
     lens = runs[:, 1].astype(np.int64) + 1

@@ -18,6 +18,12 @@ query out over segments, and two query methods sharing the store:
 Both answer "for strategies S x metrics M x dates D: exposed count and
 value sum per (s, m, d)", the Table 8 workload shape, with one row for
 every requested (s, m, d).
+
+Loading (``from_logs``, the daily load into the nodes' cache) makes one
+stable sort per log on a packed (segment, metric, date) or (segment,
+strategy) key and one hash lookup from unit id to position; each group
+is then a slice of the sorted columns, built into a BSI by
+:meth:`repro.bsi.bsi.BSI.from_arrays` (one position sort per BSI).
 """
 from __future__ import annotations
 
@@ -51,6 +57,32 @@ class _Segment:
     )  # (sid, date) -> bitmap of user ids exposed by that day
 
 
+def _segment_ids(log: pd.DataFrame, n_segments: int, what: str) -> np.ndarray:
+    """The log's ``segment_id`` column; ValueError if one is outside
+    [0, n_segments)."""
+    seg = log["segment_id"].to_numpy().astype(np.int64)
+    if len(seg) and (seg.min() < 0 or seg.max() >= n_segments):
+        raise ValueError(f"{what} log segment_id outside [0, {n_segments})")
+    return seg
+
+
+def _sorted_groups(
+    key: np.ndarray, n_keys: int
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """One stable sort of the rows by ``key`` (ints in [0, n_keys]; rows
+    keyed ``n_keys`` are dropped). Returns the kept rows' order and,
+    per distinct key, ``(key, start, end)`` bounds in that order. The
+    key is narrowed to the smallest unsigned dtype that holds
+    ``n_keys``, so a key of at most 16 bits sorts by radix."""
+    key = key.astype(np.min_scalar_type(n_keys))
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    n = int(np.searchsorted(ks, n_keys))
+    order, ks = order[:n], ks[:n]
+    bounds = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist(), n]
+    return order, [(int(ks[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
 class AdhocEngine:
     """Per-segment cached store + segment-parallel query execution."""
 
@@ -75,39 +107,73 @@ class AdhocEngine:
         workers: int | None = None,
     ) -> "AdhocEngine":
         """Build both stores from raw logs (same encoding the Spark
-        pipeline uses, so results agree bit-for-bit)."""
+        pipeline uses, so results agree bit-for-bit).
+
+        Each log is loaded with one stable sort: its rows are keyed by
+        (segment, metric, date) — metric rows of other dates are keyed
+        past the end and cut — or (segment, strategy), and every group
+        is a contiguous slice of the sorted columns, in log order
+        within the group. Unit ids map to positions by one hash lookup
+        into the encoded ids (ids need not be dense); a row whose unit
+        is not in ``users_pdf`` raises ValueError."""
         eng = cls(n_segments, workers)
         u = users_pdf.copy()
         if "segment_id" not in u.columns:
             u["segment_id"] = H.segment_of(u["analysis_unit_id"].to_numpy(), n_segments)
         enc = encoding_pandas(u)
-        pos_of = enc.set_index("analysis_unit_id")["position"]
+        unit_index = pd.Index(enc["analysis_unit_id"])
+        unit_pos = enc["position"].to_numpy()
 
-        mp = metric_pdf[metric_pdf["date"].isin(dates)]
-        for (seg, mid, d), grp in mp.groupby(["segment_id", "metric_id", "date"]):
-            uids = grp["analysis_unit_id"].to_numpy()
-            vals = grp["value"].to_numpy()
-            s = eng.segments[int(seg)]
-            s.metric_rows[(int(mid), int(d))] = (uids, vals)
+        def positions(uids: np.ndarray, log: str) -> np.ndarray:
+            i = unit_index.get_indexer(uids)  # -1: not an encoded unit
+            if (i < 0).any():
+                raise ValueError(
+                    f"{log} log row with analysis_unit_id {uids[i < 0][0]} "
+                    "is not in users_pdf"
+                )
+            return unit_pos[i]
+
+        # metric log: key (segment, metric, date), requested dates only
+        day = np.unique(np.asarray(dates, dtype=np.int64))
+        dcode = pd.Index(day).get_indexer(metric_pdf["date"].to_numpy())
+        mcode, mids = pd.factorize(metric_pdf["metric_id"].to_numpy(), sort=True)
+        n_keys = n_segments * len(mids) * len(day)
+        key = (
+            _segment_ids(metric_pdf, n_segments, "metric") * len(mids) + mcode
+        ) * len(day) + dcode
+        key[dcode < 0] = n_keys
+        order, groups = _sorted_groups(key, n_keys)
+        uids = metric_pdf["analysis_unit_id"].to_numpy()[order]
+        vals = metric_pdf["value"].to_numpy()[order]
+        pos = positions(uids, "metric")
+        for k, a, b in groups:
+            seg, rest = divmod(k, len(mids) * len(day))
+            mkey = (int(mids[rest // len(day)]), int(day[rest % len(day)]))
+            s = eng.segments[seg]
+            s.metric_rows[mkey] = (uids[a:b], vals[a:b])
             # hot cached compute form: bitset containers (§5.3 keeps
             # hot data resident; densify is our SIMD-op equivalent)
-            s.metric_bsi[(int(mid), int(d))] = BSI.from_arrays(
-                pos_of.loc[uids].to_numpy(), vals
-            ).densify()
+            s.metric_bsi[mkey] = BSI.from_arrays(pos[a:b], vals[a:b]).densify()
 
-        for (seg, sid), grp in expose_pdf.groupby(["segment_id", "strategy_id"]):
-            s = eng.segments[int(seg)]
-            fed = grp["first_expose_date"].to_numpy()
+        # expose log: key (segment, strategy)
+        scode, sids = pd.factorize(expose_pdf["strategy_id"].to_numpy(), sort=True)
+        key = _segment_ids(expose_pdf, n_segments, "expose") * len(sids) + scode
+        order, groups = _sorted_groups(key, n_segments * len(sids))
+        uids = expose_pdf["analysis_unit_id"].to_numpy()[order]
+        feds = expose_pdf["first_expose_date"].to_numpy()[order]
+        pos = positions(uids, "expose")
+        for k, a, b in groups:
+            seg, sid = k // len(sids), int(sids[k % len(sids)])
+            s = eng.segments[seg]
+            fed = feds[a:b]
             min_date = int(fed.min())
-            pos = pos_of.loc[grp["analysis_unit_id"].to_numpy()].to_numpy()
-            s.expose_bsi[int(sid)] = (
+            s.expose_bsi[sid] = (
                 min_date,
-                BSI.from_arrays(pos, fed - min_date + 1).densify(),
+                BSI.from_arrays(pos[a:b], fed - min_date + 1).densify(),
             )
-            uids = grp["analysis_unit_id"].to_numpy()
             for d in dates:
-                s.expose_day_bitmaps[(int(sid), int(d))] = RoaringBitmap.from_array(
-                    uids[fed <= d].astype(np.uint32)
+                s.expose_day_bitmaps[(sid, int(d))] = RoaringBitmap.from_array(
+                    uids[a:b][fed <= d].astype(np.uint32)
                 )
         return eng
 

@@ -1,11 +1,16 @@
 """Ad-hoc engine (§5.3): both query methods agree with each other,
-with a pandas reference, and with the Spark BSI scorecard."""
+with a pandas reference, and with the Spark BSI scorecard; the
+one-sort load builds the store a pandas group loop builds."""
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.bsi.bsi import BSI
+from repro.platform import genlog
+from repro.platform import hashing as H
 from repro.platform.adhoc import AdhocEngine
-from tests.conftest import ALL_STRATEGIES, DATES, N_SEGMENTS, N_USERS
+from repro.platform.encode import encoding_pandas
+from tests.conftest import ALL_STRATEGIES, DATES, EXPERIMENTS, N_SEGMENTS, N_USERS, SPECS
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +98,127 @@ def test_matches_spark_scorecard(world, engine):
     adhoc_res = engine.query_bsi(strategy_ids=[11], metric_ids=[2], dates=[4])
     assert adhoc_res["value_sum"].sum() == spark_res["bucket_sum"].sum()
     assert adhoc_res["exposed"].sum() == spark_res["bucket_exposed"].sum()
+
+
+# -- loading: the one-sort load against a pandas-grouped reference ------
+LOAD_USERS, LOAD_SEGMENTS = 1500, 4
+LOAD_DAYS = [1, 2, 3, 4]
+
+
+@pytest.fixture(scope="module")
+def logs():
+    users = genlog.user_universe(LOAD_USERS)
+    users["segment_id"] = H.segment_of(users["analysis_unit_id"].to_numpy(), LOAD_SEGMENTS)
+    metric = genlog.metric_log_pandas(
+        SPECS, n_users=LOAD_USERS, dates=LOAD_DAYS, n_segments=LOAD_SEGMENTS, seed=3
+    )
+    expose = genlog.expose_log_pandas(
+        EXPERIMENTS, n_users=LOAD_USERS, n_days=len(LOAD_DAYS),
+        n_segments=LOAD_SEGMENTS, seed=3,
+    )
+    return users, metric, expose
+
+
+def _load(users, metric, expose, dates=(1, 3, 4)):
+    return AdhocEngine.from_logs(
+        users_pdf=users, metric_pdf=metric, expose_pdf=expose,
+        n_segments=LOAD_SEGMENTS, dates=list(dates),
+    )
+
+
+def _same_bsi(a: BSI, b: BSI) -> bool:
+    """Equal container for container: keys, kind (dtype) and words."""
+    return len(a.slices) == len(b.slices) and all(
+        x._c.keys() == y._c.keys()
+        and all(x._c[k].dtype == y._c[k].dtype and np.array_equal(x._c[k], y._c[k])
+                for k in x._c)
+        for x, y in zip(a.slices, b.slices)
+    )
+
+
+def _same_bsi_store(a: AdhocEngine, b: AdhocEngine) -> bool:
+    return all(
+        sa.metric_bsi.keys() == sb.metric_bsi.keys()
+        and all(_same_bsi(sa.metric_bsi[k], sb.metric_bsi[k]) for k in sa.metric_bsi)
+        and sa.expose_bsi.keys() == sb.expose_bsi.keys()
+        and all(sa.expose_bsi[k][0] == sb.expose_bsi[k][0]
+                and _same_bsi(sa.expose_bsi[k][1], sb.expose_bsi[k][1])
+                for k in sa.expose_bsi)
+        for sa, sb in zip(a.segments, b.segments)
+    )
+
+
+def _queries(eng: AdhocEngine) -> list[pd.DataFrame]:
+    kw = dict(strategy_ids=ALL_STRATEGIES, metric_ids=[1, 2, 3], dates=[1, 3, 4])
+    return [eng.query_bsi(**kw), eng.query_normal(**kw)]
+
+
+def test_from_logs_matches_pandas_grouped_store(logs):
+    users, metric, expose = logs
+    eng = _load(users, metric, expose)
+    pos_of = encoding_pandas(users).set_index("analysis_unit_id")["position"]
+    mp = metric[metric["date"].isin([1, 3, 4])]
+    n_metric = 0
+    for (seg, mid, d), grp in mp.groupby(["segment_id", "metric_id", "date"]):
+        s = eng.segments[seg]
+        uids, vals = grp["analysis_unit_id"].to_numpy(), grp["value"].to_numpy()
+        got_uids, got_vals = s.metric_rows[(mid, d)]
+        assert np.array_equal(got_uids, uids) and np.array_equal(got_vals, vals)
+        ref = BSI.from_arrays(pos_of.loc[uids].to_numpy(), vals).densify()
+        assert _same_bsi(s.metric_bsi[(mid, d)], ref)
+        n_metric += 1
+    assert sum(len(s.metric_bsi) for s in eng.segments) == n_metric
+    assert sum(len(s.metric_rows) for s in eng.segments) == n_metric
+    n_expose = 0
+    for (seg, sid), grp in expose.groupby(["segment_id", "strategy_id"]):
+        fed = grp["first_expose_date"].to_numpy()
+        pos = pos_of.loc[grp["analysis_unit_id"].to_numpy()].to_numpy()
+        min_date, got = eng.segments[seg].expose_bsi[sid]
+        assert min_date == fed.min()
+        assert _same_bsi(got, BSI.from_arrays(pos, fed - fed.min() + 1).densify())
+        n_expose += 1
+    assert sum(len(s.expose_bsi) for s in eng.segments) == n_expose
+
+
+def test_from_logs_shuffled_metric_log(logs):
+    users, metric, expose = logs
+    eng = _load(users, metric, expose)
+    shuffled = metric.sample(frac=1.0, random_state=5).reset_index(drop=True)
+    eng2 = _load(users, shuffled, expose)
+    assert _same_bsi_store(eng, eng2)
+    for a, b in zip(_queries(eng), _queries(eng2)):
+        pd.testing.assert_frame_equal(a, b)
+
+
+def test_from_logs_non_contiguous_unit_ids(logs):
+    users, metric, expose = logs
+    eng = _load(users, metric, expose)
+    # ids x 7 keep the encoding's order; segments stay as assigned
+    spread = [df.assign(analysis_unit_id=df["analysis_unit_id"] * 7)
+              for df in (users, metric, expose)]
+    eng7 = _load(*spread)
+    assert _same_bsi_store(eng, eng7)
+    for s, s7 in zip(eng.segments, eng7.segments):
+        for k, (uids, vals) in s.metric_rows.items():
+            assert np.array_equal(s7.metric_rows[k][0], uids * 7)
+            assert np.array_equal(s7.metric_rows[k][1], vals)
+    for a, b in zip(_queries(eng), _queries(eng7)):
+        pd.testing.assert_frame_equal(a, b)
+
+
+@pytest.mark.parametrize("log", ["metric", "expose"])
+def test_from_logs_unknown_unit_raises(logs, log):
+    users, metric, expose = logs
+    frames = {"metric": metric.copy(), "expose": expose.copy()}
+    frames[log].loc[7, "analysis_unit_id"] = 987_654_321
+    with pytest.raises(ValueError, match=f"{log} log row with analysis_unit_id 987654321"):
+        _load(users, frames["metric"], frames["expose"])
+
+
+@pytest.mark.parametrize("seg", [-1, LOAD_SEGMENTS])
+def test_from_logs_segment_out_of_range_raises(logs, seg):
+    users, metric, expose = logs
+    bad = metric.copy()
+    bad.loc[3, "segment_id"] = seg
+    with pytest.raises(ValueError, match="metric log segment_id outside"):
+        _load(users, bad, expose)

@@ -68,3 +68,66 @@ def test_every_truncation_raises_value_error(blob, data):
     assert decode(blob) is not None
     with pytest.raises(ValueError, match="truncated"):
         decode(blob[:cut])
+
+
+# -- containers no bitmap serializes to --------------------------------
+def _blob(*containers) -> bytes:
+    """A RoaringBitmap blob of (key, kind, count, payload) containers."""
+    parts = [b"RB1", struct.pack("<I", len(containers))]
+    for key, kind, count, payload in containers:
+        parts += [struct.pack("<HBI", key, kind, count), payload]
+    return b"".join(parts)
+
+
+def _runs(*runs) -> tuple[int, bytes]:
+    return len(runs), np.array(runs, dtype=np.uint16).tobytes()
+
+
+def test_run_passing_65535():
+    # (start 65530, length 10) used to decode to 65530..65535, 0..3
+    blob = _blob((0, 2, *_runs((65530, 9))))
+    with pytest.raises(ValueError, match="run passes 65535 \\(key 0\\)"):
+        RoaringBitmap.deserialize(blob)
+
+
+@pytest.mark.parametrize("runs", [((10, 5), (12, 3)), ((100, 0), (10, 0))],
+                         ids=["overlap", "out-of-order"])
+def test_runs_overlapping_or_out_of_order(runs):
+    with pytest.raises(ValueError, match="runs overlap or are out of order"):
+        RoaringBitmap.deserialize(_blob((0, 2, *_runs(*runs))))
+
+
+@pytest.mark.parametrize("lows", [[5, 3, 9], [3, 3, 9]], ids=["unsorted", "duplicate"])
+def test_array_payload_not_strictly_increasing(lows):
+    blob = _blob((1, 0, 3, np.array(lows, dtype=np.uint16).tobytes()))
+    with pytest.raises(ValueError, match="array container not sorted and unique \\(key 1\\)"):
+        RoaringBitmap.deserialize(blob)
+
+
+@pytest.mark.parametrize("container", [
+    (4, 0, 0, b""),
+    (4, 2, 0, b""),
+    (4, 1, 0, bytes(8 * 1024)),
+], ids=["array", "run", "bitset"])
+def test_empty_container(container):
+    with pytest.raises(ValueError, match="empty RoaringBitmap container \\(key 4\\)"):
+        RoaringBitmap.deserialize(_blob(container))
+
+
+@pytest.mark.parametrize("keys", [(5, 5), (5, 2)], ids=["repeated", "decreasing"])
+def test_keys_not_increasing(keys):
+    one = np.array([7], dtype=np.uint16).tobytes()
+    blob = _blob(*[(k, 0, 1, one) for k in keys])
+    with pytest.raises(ValueError, match=f"container key {keys[1]} after key 5"):
+        RoaringBitmap.deserialize(blob)
+
+
+def test_valid_hand_made_blob_decodes():
+    # the checks pass what serialize writes: adjacent runs, a single
+    # run ending at 65535, an array, increasing keys
+    blob = _blob(
+        (0, 2, *_runs((0, 4), (5, 0), (65530, 5))),
+        (3, 0, 2, np.array([1, 65535], dtype=np.uint16).tobytes()),
+    )
+    got = RoaringBitmap.deserialize(blob).to_array().tolist()
+    assert got == [0, 1, 2, 3, 4, 5, *range(65530, 65536), 3 * 65536 + 1, 4 * 65536 - 1]

@@ -60,8 +60,9 @@ def test_table8_job(capsys):
     import table8_adhoc as j
 
     out = j.run(n_users=4000, repeats=1)
-    assert out["Normal"] > 0 and out["BSI"] > 0
-    assert "Table 8" in capsys.readouterr().out
+    assert out["Normal"] > 0 and out["BSI"] > 0 and out["table8_build"] > 0
+    text = capsys.readouterr().out
+    assert "Table 8" in text and "table8_build" in text
 
 
 def test_scorecard_demo_job(spark, capsys):
