@@ -48,6 +48,39 @@ def _payload_size(kind: int, count: int) -> int:
     return (2 * count, 8 * C.BITSET_WORDS, 4 * count)[kind]
 
 
+class Probes:
+    """Probe positions split once into container key and low 16 bits,
+    for membership tests of one vector against many bitmaps (see
+    :meth:`RoaringBitmap.contains_array`).
+
+    ``pieces`` holds ``(key, index, low 16 bits)`` per container key
+    the probes touch; ``index`` places a piece's answers in the output
+    (a full slice when every probe falls in one key). The keys are
+    found by counting, not sorting. A position outside [0, 2**32)
+    belongs to no bitmap, so it joins no piece."""
+
+    __slots__ = ("n", "pieces")
+
+    def __init__(self, pos):
+        pos = np.asarray(pos)
+        self.n = len(pos)
+        keep = None  # None: every probe is a valid position
+        if len(pos) and (pos.min() < 0 or pos.max() > 0xFFFFFFFF):
+            keep = np.flatnonzero((pos >= 0) & (pos <= 0xFFFFFFFF))
+            pos = pos[keep]
+        pos = pos.astype(np.intp, copy=False)
+        hi, lo = pos >> 16, (pos & 0xFFFF).astype(np.uint16)
+        keys = np.flatnonzero(np.bincount(hi))
+        if len(keys) == 1:
+            whole = slice(None) if keep is None else keep
+            self.pieces = [(int(keys[0]), whole, lo)]
+            return
+        self.pieces = []
+        for k in keys:
+            m = np.flatnonzero(hi == k)
+            self.pieces.append((int(k), m if keep is None else keep[m], lo[m]))
+
+
 class RoaringBitmap:
     """A set of uint32 positions stored in roaring containers."""
 
@@ -105,19 +138,16 @@ class RoaringBitmap:
         return np.concatenate(parts)
 
     def contains_array(self, pos) -> np.ndarray:
-        """Vectorised membership test: bool vector aligned with ``pos``."""
-        pos = np.asarray(pos, dtype=np.uint32)
-        out = np.zeros(len(pos), dtype=bool)
-        if not self._c or len(pos) == 0:
-            return out
-        hi = pos >> np.uint32(16)
-        lo = (pos & np.uint32(0xFFFF)).astype(np.uint16)
-        for k in np.unique(hi):
-            c = self._c.get(int(k))
-            if c is None:
-                continue
-            m = hi == k
-            out[m] = C.contains(c, lo[m])
+        """Vectorised membership test: bool vector aligned with ``pos``,
+        an integer vector or its :class:`Probes` split (made once to
+        test one vector against many bitmaps). A position outside
+        [0, 2**32) is no member."""
+        probes = pos if isinstance(pos, Probes) else Probes(pos)
+        out = np.zeros(probes.n, dtype=bool)
+        for k, idx, lo in probes.pieces:
+            c = self._c.get(k)
+            if c is not None:
+                out[idx] = C.contains(c, lo)
         return out
 
     def __eq__(self, other) -> bool:

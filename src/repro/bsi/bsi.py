@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.bsi import containers as C
-from repro.bsi.bitmap import RoaringBitmap, check_end, check_room, key_pieces
+from repro.bsi.bitmap import Probes, RoaringBitmap, check_end, check_room, key_pieces
 
 _MAGIC = b"BS1"
 _EMPTY = RoaringBitmap.empty()
@@ -141,8 +141,9 @@ class BSI:
         """Decode to (sorted positions uint32, values uint64)."""
         pos = self.existence().to_array()
         vals = np.zeros(len(pos), dtype=np.uint64)
+        probes = Probes(pos)
         for i, s in enumerate(self.slices):
-            vals += s.contains_array(pos).astype(np.uint64) << np.uint64(i)
+            vals += s.contains_array(probes).astype(np.uint64) << np.uint64(i)
         return pos, vals
 
     def __eq__(self, other) -> bool:

@@ -12,8 +12,10 @@ query out over segments, and two query methods sharing the store:
   -> one batched filtered sum (:func:`repro.bsi.bsi.sums_filtered`)
   over every requested metric's value BSI.
 - ``query_normal``   — the paper's pre-BSI method (§6.3): per-day
-  exposed-user bitmaps cached per strategy; scan the normal-format
-  metric rows, membership-filter by the bitmap, aggregate.
+  exposed-user bitmaps cached per strategy (densified, like the BSI
+  store); per segment and date, one columnar scan of the requested
+  metrics' row-format rows: unit ids split into container key and low
+  bits once, one membership test per strategy, one per-metric sum.
 
 Both answer "for strategies S x metrics M x dates D: exposed count and
 value sum per (s, m, d)", the Table 8 workload shape, with one row for
@@ -24,6 +26,8 @@ stable sort per log on a packed (segment, metric, date) or (segment,
 strategy) key and one hash lookup from unit id to position; each group
 is then a slice of the sorted columns, built into a BSI by
 :meth:`repro.bsi.bsi.BSI.from_arrays` (one position sort per BSI).
+Unit ids must lie in [0, 2**32): the normal store keys its bitmaps by
+them, so the load rejects any other id rather than wrap it.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from itertools import product
 import numpy as np
 import pandas as pd
 
-from repro.bsi.bitmap import RoaringBitmap
+from repro.bsi.bitmap import Probes, RoaringBitmap
 from repro.bsi.bsi import BSI
 from repro.core.scorecard import score_segment
 from repro.platform import hashing as H
@@ -55,6 +59,20 @@ class _Segment:
     expose_day_bitmaps: dict[tuple[int, int], RoaringBitmap] = field(
         default_factory=dict
     )  # (sid, date) -> bitmap of user ids exposed by that day
+
+
+_NO_ROWS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _unit_ids(log: pd.DataFrame, what: str) -> np.ndarray:
+    """The frame's ``analysis_unit_id`` column; ValueError naming the
+    first id outside [0, 2**32), which the normal store's unit-id
+    bitmaps cannot hold."""
+    uid = log["analysis_unit_id"].to_numpy()
+    if len(uid) and (uid.min() < 0 or uid.max() > 0xFFFFFFFF):
+        bad = uid[(uid < 0) | (uid > 0xFFFFFFFF)][0]
+        raise ValueError(f"{what} analysis_unit_id {bad} is outside [0, 2**32)")
+    return uid
 
 
 def _segment_ids(log: pd.DataFrame, n_segments: int, what: str) -> np.ndarray:
@@ -115,11 +133,14 @@ class AdhocEngine:
         is a contiguous slice of the sorted columns, in log order
         within the group. Unit ids map to positions by one hash lookup
         into the encoded ids (ids need not be dense); a row whose unit
-        is not in ``users_pdf`` raises ValueError."""
+        is not in ``users_pdf`` raises ValueError, as does an id outside
+        [0, 2**32) in any of the three frames. The per-day exposed-user
+        bitmaps are stored densified, the BSI store's compute form."""
         eng = cls(n_segments, workers)
         u = users_pdf.copy()
+        uid = _unit_ids(u, "users_pdf")
         if "segment_id" not in u.columns:
-            u["segment_id"] = H.segment_of(u["analysis_unit_id"].to_numpy(), n_segments)
+            u["segment_id"] = H.segment_of(uid, n_segments)
         enc = encoding_pandas(u)
         unit_index = pd.Index(enc["analysis_unit_id"])
         unit_pos = enc["position"].to_numpy()
@@ -143,7 +164,8 @@ class AdhocEngine:
         ) * len(day) + dcode
         key[dcode < 0] = n_keys
         order, groups = _sorted_groups(key, n_keys)
-        uids = metric_pdf["analysis_unit_id"].to_numpy()[order]
+        del key, dcode, mcode  # 8 bytes per log row each: freed before the store is built
+        uids = _unit_ids(metric_pdf, "metric log")[order]
         vals = metric_pdf["value"].to_numpy()[order]
         pos = positions(uids, "metric")
         for k, a, b in groups:
@@ -159,7 +181,7 @@ class AdhocEngine:
         scode, sids = pd.factorize(expose_pdf["strategy_id"].to_numpy(), sort=True)
         key = _segment_ids(expose_pdf, n_segments, "expose") * len(sids) + scode
         order, groups = _sorted_groups(key, n_segments * len(sids))
-        uids = expose_pdf["analysis_unit_id"].to_numpy()[order]
+        uids = _unit_ids(expose_pdf, "expose log")[order]
         feds = expose_pdf["first_expose_date"].to_numpy()[order]
         pos = positions(uids, "expose")
         for k, a, b in groups:
@@ -173,8 +195,8 @@ class AdhocEngine:
             )
             for d in dates:
                 s.expose_day_bitmaps[(sid, int(d))] = RoaringBitmap.from_array(
-                    uids[a:b][fed <= d].astype(np.uint32)
-                )
+                    uids[a:b][fed <= d]
+                ).densify()
         return eng
 
     # -- queries ------------------------------------------------------
@@ -231,26 +253,41 @@ class AdhocEngine:
     def query_normal(
         self, *, strategy_ids: list[int], metric_ids: list[int], dates: list[int]
     ) -> pd.DataFrame:
-        """Normal method (§6.3): cached per-day exposed-user bitmaps;
-        scan metric rows, membership-filter, aggregate."""
+        """Normal method (§6.3), one columnar scan per segment and date:
+        the requested metrics' rows are read as one column whose unit
+        ids are split into container key and low 16 bits once; per
+        strategy, one membership test against that day's cached
+        exposed-user bitmap, then one exact ``np.add.reduceat`` sums
+        the matched values per metric."""
 
         def per_segment(i: int) -> list[tuple]:
             s = self.segments[i]
             rows = []
-            for sid in strategy_ids:
-                for d in dates:
-                    bm = s.expose_day_bitmaps.get((sid, d))
-                    if bm is None:
-                        continue
+            for d in dates:
+                bitmaps = [
+                    (sid, s.expose_day_bitmaps[(sid, d)])
+                    for sid in strategy_ids
+                    if (sid, d) in s.expose_day_bitmaps
+                ]
+                if not bitmaps:
+                    continue
+                recs = [s.metric_rows.get((mid, d), _NO_ROWS) for mid in metric_ids]
+                probes = Probes(np.concatenate([u for u, _ in recs]))
+                vals = np.concatenate([v for _, v in recs])
+                lengths = np.array([len(u) for u, _ in recs])
+                # reduceat over the non-empty pieces only: it would
+                # repeat the first element of an empty one
+                full = lengths > 0
+                starts = (np.cumsum(lengths) - lengths)[full]
+                for sid, bm in bitmaps:
+                    hit = vals * bm.contains_array(probes)
+                    sums = np.zeros(len(metric_ids), dtype=vals.dtype)
+                    sums[full] = np.add.reduceat(hit, starts)
                     exposed = bm.cardinality()
-                    for mid in metric_ids:
-                        rec = s.metric_rows.get((mid, d))
-                        if rec is None:
-                            rows.append((sid, mid, d, 0.0, exposed))
-                            continue
-                        uids, vals = rec
-                        mask = bm.contains_array(uids)
-                        rows.append((sid, mid, d, float(vals[mask].sum()), exposed))
+                    rows += [
+                        (sid, mid, d, float(v), exposed)
+                        for mid, v in zip(metric_ids, sums.tolist())
+                    ]
             return rows
 
         return self._fan_out(per_segment, strategy_ids, metric_ids, dates)

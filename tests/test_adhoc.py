@@ -1,6 +1,8 @@
 """Ad-hoc engine (§5.3): both query methods agree with each other,
 with a pandas reference, and with the Spark BSI scorecard; the
 one-sort load builds the store a pandas group loop builds."""
+from types import SimpleNamespace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -215,6 +217,29 @@ def test_from_logs_unknown_unit_raises(logs, log):
         _load(users, frames["metric"], frames["expose"])
 
 
+@pytest.mark.parametrize("log", ["users", "metric", "expose"])
+@pytest.mark.parametrize("uid", [-5, 2**32 + 5])
+def test_from_logs_unit_id_outside_32_bits_raises(logs, log, uid):
+    users, metric, expose = logs
+    frames = {"users": users.copy(), "metric": metric.copy(), "expose": expose.copy()}
+    frames[log].loc[7, "analysis_unit_id"] = uid
+    what = {"users": "users_pdf", "metric": "metric log", "expose": "expose log"}[log]
+    with pytest.raises(ValueError, match=rf"{what} analysis_unit_id {uid} is outside \[0, 2\*\*32\)"):
+        _load(frames["users"], frames["metric"], frames["expose"])
+
+
+def test_from_logs_wrapping_unit_ids_raise(logs):
+    # distinct ids that would share a bit of the normal store's uint32
+    # bitmaps if wrapped: odd ids move past 2**32
+    wide = [df.assign(analysis_unit_id=df["analysis_unit_id"] // 2
+                      + (df["analysis_unit_id"] % 2) * 2**32)
+            for df in logs]
+    uid = wide[0]["analysis_unit_id"].to_numpy()
+    first = uid[uid >= 2**32][0]
+    with pytest.raises(ValueError, match=f"users_pdf analysis_unit_id {first} is outside"):
+        _load(*wide)
+
+
 @pytest.mark.parametrize("seg", [-1, LOAD_SEGMENTS])
 def test_from_logs_segment_out_of_range_raises(logs, seg):
     users, metric, expose = logs
@@ -222,3 +247,41 @@ def test_from_logs_segment_out_of_range_raises(logs, seg):
     bad.loc[3, "segment_id"] = seg
     with pytest.raises(ValueError, match="metric log segment_id outside"):
         _load(users, bad, expose)
+
+
+# -- query shapes the dense fixture never produces ----------------------
+@pytest.fixture(scope="module")
+def edge_logs(logs):
+    """The load logs with ids x 100 (so units span several container
+    keys), metric 2 absent on date 3 in segment 1, strategy 12 absent
+    from segment 0, and every exposure a day later (date 1 precedes
+    them all)."""
+    users, metric, expose = (
+        df.assign(analysis_unit_id=df["analysis_unit_id"] * 100) for df in logs
+    )
+    metric = metric[
+        ~((metric.metric_id == 2) & (metric.date == 3) & (metric.segment_id == 1))
+    ]
+    expose = expose[~((expose.strategy_id == 12) & (expose.segment_id == 0))]
+    expose = expose.assign(first_expose_date=expose["first_expose_date"] + 1)
+    return users, metric, expose
+
+
+@pytest.mark.parametrize("metric_ids", [[1, 2, 3], [2], [3, 2]])
+def test_normal_bsi_reference_agree_on_edge_store(edge_logs, metric_ids):
+    users, metric, expose = edge_logs
+    eng = _load(users, metric, expose, dates=LOAD_DAYS)
+    # the shapes under test are really there
+    assert any(len(np.unique(u >> 16)) >= 2 for u, _ in eng.segments[0].metric_rows.values())
+    assert (2, 3) not in eng.segments[1].metric_rows
+    assert all(k[0] != 12 for k in eng.segments[0].expose_day_bitmaps)
+    assert all(not bm for (_, d), bm in eng.segments[1].expose_day_bitmaps.items() if d == 1)
+    kw = dict(strategy_ids=ALL_STRATEGIES, metric_ids=metric_ids, dates=LOAD_DAYS)
+    normal = _sorted(eng.query_normal(**kw)).astype("float64")
+    bsi = _sorted(eng.query_bsi(**kw)).astype("float64")
+    ref = _reference(
+        SimpleNamespace(metric=metric, expose=expose), ALL_STRATEGIES, metric_ids, LOAD_DAYS
+    ).astype("float64")
+    pd.testing.assert_frame_equal(normal, ref)
+    pd.testing.assert_frame_equal(bsi, ref)
+    assert (ref[ref.date == 1][["value_sum", "exposed"]] == 0).all().all()

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.bsi.bitmap import RoaringBitmap
+from repro.bsi.bitmap import Probes, RoaringBitmap
 
 SETS = [
     set(),
@@ -55,6 +55,25 @@ def test_contains_array(i):
     probes = np.array([0, 1, 65535, 65536, 2**32 - 1, 70_001], dtype=np.uint32)
     got = mk(s).contains_array(probes)
     assert got.tolist() == [int(p) in s for p in probes]
+
+
+@pytest.mark.parametrize("i", range(len(SETS)))
+def test_contains_array_out_of_range_is_no_member(i):
+    s = SETS[i]
+    probes = np.array(
+        [-1, 0, -(2**32) + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**33 + 70_001, 70_001],
+        dtype=np.int64,
+    )
+    got = mk(s).contains_array(probes)
+    assert got.tolist() == [int(p) in s for p in probes]
+    assert not mk(s).contains_array(np.array([2**64 - 1], dtype=np.uint64)).any()
+
+
+def test_probes_split_once_for_many_bitmaps():
+    probes_arr = np.array([3, 2**32, 65_536, -7, 70_001, 0, 2**20 + 5], dtype=np.int64)
+    probes = Probes(probes_arr)
+    for s in SETS:
+        assert mk(s).contains_array(probes).tolist() == [int(p) in s for p in probes_arr]
 
 
 def test_equality_and_copy():
