@@ -22,8 +22,11 @@ Implemented operations:
 - aggregates over BSIs (§4.1.3): :func:`sum_bsi`, :func:`max_bsi`,
   :func:`mul_bsi`, :func:`distinct_pos`;
 - the batched filtered sum :func:`sums_filtered` (every filter ×
-  every value BSI, one popcount pass per cache-sized block), which
-  ``sum``, ``sum_filtered`` and the scorecard kernel run on.
+  every value BSI, one popcount pass per cache-sized block, the
+  filters' own counts included), which ``sum``, ``sum_filtered`` and
+  the scorecard kernel run on;
+- the packed compute form (:meth:`BSI.densify`): per container key,
+  one bit matrix whose row ``i`` is slice ``i``.
 """
 from __future__ import annotations
 
@@ -37,6 +40,17 @@ from repro.bsi.bitmap import Probes, RoaringBitmap, check_end, check_room, key_p
 
 _MAGIC = b"BS1"
 _EMPTY = RoaringBitmap.empty()
+
+
+def _pack(slices: Sequence[RoaringBitmap], k: int) -> np.ndarray:
+    """Every slice's container at key ``k`` as one row of a new
+    ``(len(slices), 1024)`` uint64 matrix; zero where a slice lacks it."""
+    m = np.zeros((len(slices), C.BITSET_WORDS), dtype=np.uint64)
+    for row, s in zip(m, slices):
+        c = s._c.get(k)
+        if c is not None:
+            row[:] = c if C.is_bitset(c) else C.array_to_bitset(c)
+    return m
 
 
 def _as_uint(x, dtype, what: str) -> np.ndarray:
@@ -58,7 +72,7 @@ def _as_uint(x, dtype, what: str) -> np.ndarray:
 class BSI:
     """Bit-sliced index over uint32 positions with uint64 values."""
 
-    __slots__ = ("slices", "_ex")
+    __slots__ = ("slices", "_ex", "_packed")
 
     def __init__(self, slices: list[RoaringBitmap] | None = None):
         slices = list(slices) if slices else []
@@ -66,6 +80,8 @@ class BSI:
             slices.pop()
         self.slices = slices
         self._ex: RoaringBitmap | None = None
+        # container key -> (nslices, 1024) slice matrix; set by densify
+        self._packed: dict[int, np.ndarray] | None = None
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -112,11 +128,36 @@ class BSI:
         return BSI([s.copy() for s in self.slices])
 
     def densify(self) -> "BSI":
-        """Bitset-container compute form for every slice (see
-        :meth:`RoaringBitmap.densify`); semantics unchanged."""
-        for s in self.slices:
-            s.densify()
+        """Packed bitset compute form; semantics unchanged.
+
+        Per container key, the slices' bitsets become the rows of one
+        C-contiguous ``(nslices, 1024)`` uint64 matrix, row ``i``
+        holding slice ``i`` (a zero row where the slice lacks the key),
+        and each slice's container becomes a view of its row. A
+        bit-sliced index is a bit matrix (O'Neil & Quass 1997): the
+        filtered-sum kernel (:func:`sums_filtered`) cuts a value's
+        rows at a key as one ``[:, lo:hi]`` slice of it, while every
+        bitmap op still runs on the slices. Containers are immutable,
+        so the views never change; serialization reads the words, so
+        blobs are the same bytes as before packing."""
+        if self._packed is None:
+            keys = sorted(set().union(*(s._c.keys() for s in self.slices)))
+            self._packed = {k: _pack(self.slices, k) for k in keys}
+            for k, m in self._packed.items():
+                for s, row in zip(self.slices, m):
+                    if k in s._c:
+                        s._c[k] = row
         return self
+
+    def _matrix(self, k: int) -> np.ndarray | None:
+        """The slice matrix at key ``k`` (packed form), or ``None`` if
+        no slice holds the key. An unpacked BSI widens its slices into
+        a fresh matrix, for the caller's use only."""
+        if self._packed is not None:
+            return self._packed.get(k)
+        if any(k in s._c for s in self.slices):
+            return _pack(self.slices, k)
+        return None
 
     # -- inspection ---------------------------------------------------
     def existence(self) -> RoaringBitmap:
@@ -185,9 +226,10 @@ class BSI:
     def subtract(self, other: "BSI") -> "BSI":
         """D = X - Y via borrow logic, defined where X >= Y pointwise.
 
-        The universe for bit complement is ex(X) | ex(Y); positions
-        where X < Y produce wrapped garbage and must not be queried
-        (the paper never subtracts a larger value in its workloads).
+        The universe for bit complement is ex(X) | ex(Y). A borrow out
+        of the top slice marks exactly the positions where X < Y, whose
+        difference would wrap: ValueError then, instead of a wrapped
+        result (the paper never subtracts a larger value).
         """
         universe = self.existence() | other.existence()
         n = max(len(self.slices), len(other.slices))
@@ -198,6 +240,10 @@ class BSI:
             out.append(x ^ y ^ borrow)
             not_x = universe.andnot(x)
             borrow = (not_x & (y | borrow)) | (x & y & borrow)
+        if borrow:
+            raise ValueError(
+                f"BSI.subtract: X < Y at {borrow.cardinality()} positions"
+            )
         return BSI(out)
 
     def multiply_binary(self, bm: RoaringBitmap) -> "BSI":
@@ -221,7 +267,9 @@ class BSI:
         return acc
 
     def add_const(self, k: int) -> "BSI":
-        """X + k on existing positions only (zeros stay non-existing)."""
+        """X + k on existing positions only (zeros stay non-existing).
+        A negative k is a :meth:`subtract`, so it raises ValueError if
+        an existing value is below -k."""
         if k < 0:
             return self.subtract(BSI._const_like(self, -k))
         if k == 0:
@@ -442,78 +490,98 @@ _INT64_SLICES = 47
 
 
 def sums_filtered(
-    values: Sequence[BSI | None], filters: Sequence[RoaringBitmap]
-) -> list[list[int]]:
+    values: Sequence[BSI | None],
+    filters: Sequence[RoaringBitmap],
+    *,
+    return_counts: bool = False,
+):
     """``out[f][v]``: the exact sum of ``values[v]`` over the positions
-    in ``filters[f]`` (0 for a ``None`` value).
+    in ``filters[f]`` (0 for a ``None`` value). With ``return_counts``
+    it returns ``(out, counts)``, ``counts[f]`` being the cardinality of
+    ``filters[f]``, taken in the same pass.
 
     The batched form of :meth:`BSI.sum_filtered`. Per container key of
-    the filters, every value's bitset slices for that key are gathered
-    once, cut to the filters' joint nonzero-word span ``[lo, hi)``, and
-    shared by all filters: each filter is ANDed with them and
-    popcounted in blocks of at most :data:`_CHUNK_WORDS` words, in
-    place, into buffers reused across blocks. Array slice containers
-    are counted by membership instead."""
+    the filters, the filters' joint nonzero-word span ``[lo, hi)`` is
+    taken once and each value's slice matrix (:meth:`BSI.densify`) is
+    cut to it, ``[:, lo:hi]``: row ``i`` of a value weighs ``2**i``. An
+    all-ones row goes first, so each filter's own popcount is its
+    count. The rows are shared by all filters: each filter is ANDed
+    with them and popcounted in blocks of at most :data:`_CHUNK_WORDS`
+    words, in place, into buffers reused across blocks. A value that
+    was never densified is widened into a matrix for this call only."""
     # Reaches into the bitmaps' container dicts (same library;
     # containers are immutable and only the kernel's own buffers are
     # written).
     totals = np.zeros((len(filters), len(values)), dtype=object)
-    by_key: dict[int, list[tuple[int, np.ndarray]]] = {}
+    counts = np.zeros(len(filters), dtype=np.int64)
+    by_key: dict[int, list[np.ndarray]] = {}
+    fidx: dict[int, list[int]] = {}
     for f, bm in enumerate(filters):
         for k, fc in bm._c.items():
-            by_key.setdefault(k, []).append(
-                (f, fc if C.is_bitset(fc) else C.array_to_bitset(fc))
-            )
-    for k, fcs in by_key.items():
-        rows, row_value, row_slice = [], [], []
-        for v, x in enumerate(values):
-            for i, s in enumerate(x.slices if x is not None else ()):
-                c = s._c.get(k)
-                if c is None:
-                    continue
-                if C.is_array(c):
-                    for f, fb in fcs:
-                        totals[f, v] += int(C.contains(fb, c).sum()) << i
-                else:
-                    rows.append(c)
-                    row_value.append(v)
-                    row_slice.append(i)
-        words = [w for _, fb in fcs if len(w := np.flatnonzero(fb))]
-        if not rows or not words:
+            by_key.setdefault(k, []).append(fc if C.is_bitset(fc) else C.array_to_bitset(fc))
+            fidx.setdefault(k, []).append(f)
+    for k, fbs in by_key.items():
+        words = [w for fb in fbs if len(w := np.flatnonzero(fb))]
+        if not words:
             continue
         lo = min(int(w[0]) for w in words)
-        span = max(int(w[-1]) for w in words) + 1 - lo
-        n_f, n_r = len(fcs), len(rows)
-        # a block is a chunk of rows times the filters that fit with it
-        # (all rows and several filters, or fewer rows and one filter)
-        per_block = max(1, _CHUNK_WORDS // span)
-        r_step = min(n_r, per_block)
-        f_step = min(n_f, max(1, per_block // n_r))
-        buf = np.empty(f_step * r_step * span, dtype=np.uint64)
+        hi = max(int(w[-1]) for w in words) + 1
+        span = hi - lo
+        rows = [np.full((1, span), ~np.uint64(0))]  # the filter's own row
+        vix = []
+        for v, x in enumerate(values):
+            m = x._matrix(k) if x is not None else None
+            if m is not None:
+                rows.append(m[:, lo:hi])
+                vix.append(v)
+        # row chunks of whole values, each at most ``per_block`` rows
+        # (per_block >= 64 rows, the most a from_arrays value has; a
+        # wider one, made by BSI arithmetic, is a chunk of its own); a
+        # block is a chunk times the filters that fit with it
+        per_block = _CHUNK_WORDS // span
+        n_f = len(fbs)
+        chunks, start, n = [], 0, 0  # (first piece, end piece, rows)
+        for i, r in enumerate(rows):
+            if n and n + len(r) > per_block:
+                chunks.append((start, i, n))
+                start, n = i, 0
+            n += len(r)
+        chunks.append((start, len(rows), n))
+        f_steps = [min(n_f, max(1, per_block // n)) for _, _, n in chunks]
+        mbuf = np.empty(max(n for _, _, n in chunks) * span, dtype=np.uint64)
+        cap = max(f * n for f, (_, _, n) in zip(f_steps, chunks))
+        buf = np.empty(cap * span, dtype=np.uint64)
         tmp = np.empty_like(buf)
-        counts = np.empty((n_f, n_r), dtype=np.int64)
-        for r0 in range(0, n_r, r_step):
-            r1 = min(r0 + r_step, n_r)
-            m = np.stack([c[lo : lo + span] for c in rows[r0:r1]])
+        pops = np.empty((n_f, sum(len(r) for r in rows)), dtype=np.int64)
+        r0 = 0
+        for (i0, i1, n), f_step in zip(chunks, f_steps):
+            m = mbuf[: n * span].reshape(n, span)
+            np.concatenate(rows[i0:i1], out=m)
             for f0 in range(0, n_f, f_step):
                 f1 = min(f0 + f_step, n_f)
-                n = (f1 - f0) * (r1 - r0) * span
-                out = buf[:n].reshape(f1 - f0, r1 - r0, span)
-                fblock = np.stack([fb[lo : lo + span] for _, fb in fcs[f0:f1]])
+                out = buf[: (f1 - f0) * n * span].reshape(f1 - f0, n, span)
+                fblock = np.stack([fb[lo:hi] for fb in fbs[f0:f1]])
                 np.bitwise_and(m[None], fblock[:, None], out=out)
-                counts[f0:f1, r0:r1] = C.popcount_rows(
-                    out.reshape(-1, span), tmp[:n].reshape(-1, span)
-                ).reshape(f1 - f0, r1 - r0)
-        shifts = np.array(row_slice)
-        row_value = np.array(row_value)
-        starts = np.flatnonzero(np.diff(row_value, prepend=-1))
+                pops[f0:f1, r0 : r0 + n] = C.popcount_rows(
+                    out.reshape(-1, span), tmp[: out.size].reshape(-1, span)
+                ).reshape(f1 - f0, n)
+            r0 += n
+        counts[fidx[k]] += pops[:, 0]
+        if not vix:
+            continue
+        nrows = [len(r) for r in rows[1:]]
+        shifts = np.concatenate([np.arange(n) for n in nrows])
+        starts = np.cumsum([0, *nrows[:-1]])
+        pops = pops[:, 1:]
         if shifts.max() < _INT64_SLICES:
-            sums = np.add.reduceat(counts << shifts, starts, axis=1).astype(object)
+            sums = np.add.reduceat(pops << shifts, starts, axis=1).astype(object)
         else:
             sums = np.add.reduceat(
-                counts.astype(object) << shifts.astype(object), starts, axis=1
+                pops.astype(object) << shifts.astype(object), starts, axis=1
             )
-        totals[np.ix_([f for f, _ in fcs], row_value[starts])] += sums
+        totals[np.ix_(fidx[k], vix)] += sums
+    if return_counts:
+        return totals.tolist(), counts.tolist()
     return totals.tolist()
 
 

@@ -74,30 +74,30 @@ def score_segment(
     without it the segment is one bucket and the rows carry bucket
     ``None`` for the caller to fill in. Every (strategy, bucket) filter
     is then summed against every metric in one :func:`sums_filtered`
-    call.
+    call, which also counts each filter's exposed users in the same
+    popcount pass.
 
     Returns ``(strategy_id, metric_id, bucket, bucket_sum,
     bucket_exposed)`` for every (strategy, bucket) with at least one
     exposed user, times every id in ``metric_ids``."""
-    cells = []  # (strategy, bucket, filter, exposed count)
+    cells = []  # (strategy, bucket, filter)
     for sid, min_date, offset, bucket in exposes:
         flt = offset.le_const(date - min_date + 1)
         if extra_filter is not None:
             flt = flt & extra_filter
         if n_buckets is None:
-            parts = [(None, flt)]
+            cells.append((sid, None, flt))
         else:
-            parts = [(b, bucket.eq_const(b + 1) & flt) for b in range(n_buckets)]
-        for b, bm in parts:
-            exposed = bm.cardinality()
-            if exposed:
-                cells.append((sid, b, bm, exposed))
-    sums = sums_filtered(
-        [metrics.get(mid) for mid in metric_ids], [bm for _, _, bm, _ in cells]
+            cells += [(sid, b, bucket.eq_const(b + 1) & flt) for b in range(n_buckets)]
+    sums, counts = sums_filtered(
+        [metrics.get(mid) for mid in metric_ids],
+        [bm for _, _, bm in cells],
+        return_counts=True,
     )
     return [
         (sid, mid, b, float(total), exposed)
-        for (sid, b, _, exposed), row in zip(cells, sums)
+        for (sid, b, _), row, exposed in zip(cells, sums, counts)
+        if exposed
         for mid, total in zip(metric_ids, row)
     ]
 

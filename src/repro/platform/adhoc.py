@@ -10,7 +10,9 @@ query out over segments, and two query methods sharing the store:
   (:func:`repro.core.scorecard.score_segment`) per segment and date —
   expose-offset constant predicate -> one filter bitmap per strategy
   -> one batched filtered sum (:func:`repro.bsi.bsi.sums_filtered`)
-  over every requested metric's value BSI.
+  over every requested metric's value BSI, which cuts each value's
+  packed slice matrix once per container key and counts each
+  strategy's exposed users in the same popcount pass.
 - ``query_normal``   — the paper's pre-BSI method (§6.3): per-day
   exposed-user bitmaps cached per strategy (densified, like the BSI
   store); per segment and date, one columnar scan of the requested
@@ -25,7 +27,9 @@ Loading (``from_logs``, the daily load into the nodes' cache) makes one
 stable sort per log on a packed (segment, metric, date) or (segment,
 strategy) key and one hash lookup from unit id to position; each group
 is then a slice of the sorted columns, built into a BSI by
-:meth:`repro.bsi.bsi.BSI.from_arrays` (one position sort per BSI).
+:meth:`repro.bsi.bsi.BSI.from_arrays` (one position sort per BSI) and
+packed by :meth:`repro.bsi.bsi.BSI.densify`: per container key, one
+slice matrix.
 Unit ids must lie in [0, 2**32): the normal store keys its bitmaps by
 them, so the load rejects any other id rather than wrap it.
 """
@@ -134,8 +138,9 @@ class AdhocEngine:
         within the group. Unit ids map to positions by one hash lookup
         into the encoded ids (ids need not be dense); a row whose unit
         is not in ``users_pdf`` raises ValueError, as does an id outside
-        [0, 2**32) in any of the three frames. The per-day exposed-user
-        bitmaps are stored densified, the BSI store's compute form."""
+        [0, 2**32) in any of the three frames. BSIs are stored packed
+        and the per-day exposed-user bitmaps densified: the compute
+        forms."""
         eng = cls(n_segments, workers)
         u = users_pdf.copy()
         uid = _unit_ids(u, "users_pdf")
@@ -173,8 +178,9 @@ class AdhocEngine:
             mkey = (int(mids[rest // len(day)]), int(day[rest % len(day)]))
             s = eng.segments[seg]
             s.metric_rows[mkey] = (uids[a:b], vals[a:b])
-            # hot cached compute form: bitset containers (§5.3 keeps
-            # hot data resident; densify is our SIMD-op equivalent)
+            # hot cached compute form: packed slice matrices (§5.3
+            # keeps hot data resident; bitset words are our SIMD-op
+            # equivalent)
             s.metric_bsi[mkey] = BSI.from_arrays(pos[a:b], vals[a:b]).densify()
 
         # expose log: key (segment, strategy)

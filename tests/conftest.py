@@ -28,6 +28,15 @@ SPARSE_SPEC = MetricSpec(metric_id=4, name="m_sparse", range_card=20, gen_range=
 SPARSE_N_SEGMENTS = 32
 SPARSE_N_BUCKETS = 12
 
+# the K = 1024 bucketed world: more buckets than exposed users per
+# strategy and segment, so most (strategy, bucket) filters are empty
+K1024_N_USERS = 4000
+K1024_N_SEGMENTS = 2
+K1024_N_BUCKETS = 1024
+K1024_EXPERIMENT = genlog.ExperimentSpec(
+    experiment_id=3, strategy_ids=(31, 32), traffic_pct=100.0
+)
+
 EXPERIMENTS = [
     genlog.ExperimentSpec(experiment_id=1, strategy_ids=(11, 12), traffic_pct=60.0),
     genlog.ExperimentSpec(experiment_id=2, strategy_ids=(21, 22), traffic_pct=40.0),
@@ -52,16 +61,19 @@ class World:
     dim_bsi: object
 
 
-def _build_world(spark, *, specs, n_segments: int, n_buckets: int) -> World:
-    users = genlog.user_universe(N_USERS)
+def _build_world(
+    spark, *, specs, n_segments: int, n_buckets: int,
+    n_users: int = N_USERS, experiments=EXPERIMENTS,
+) -> World:
+    users = genlog.user_universe(n_users)
     metric = genlog.metric_log_pandas(
-        specs, n_users=N_USERS, dates=DATES, n_segments=n_segments, seed=7
+        specs, n_users=n_users, dates=DATES, n_segments=n_segments, seed=7
     )
     expose = genlog.expose_log_pandas(
-        EXPERIMENTS, n_users=N_USERS, n_days=N_DAYS, n_segments=n_segments, seed=7
+        experiments, n_users=n_users, n_days=N_DAYS, n_segments=n_segments, seed=7
     )
     dim = genlog.dimension_log_pandas(
-        n_users=N_USERS, dates=[3], n_segments=n_segments, seed=7
+        n_users=n_users, dates=[3], n_segments=n_segments, seed=7
     )
     conv = encode.full_bsi_conversion(
         spark,
@@ -104,6 +116,20 @@ def sparse_world(spark):
     w = _build_world(
         spark, specs=SPECS + [SPARSE_SPEC], n_segments=SPARSE_N_SEGMENTS,
         n_buckets=SPARSE_N_BUCKETS,
+    )
+    yield w
+    for sdf in (w.encoding, w.metric_bsi, w.expose_bsi, w.dim_bsi):
+        sdf.unpersist()
+
+
+@pytest.fixture(scope="module")
+def k1024_world(spark):
+    """4,000 users over 2 segments, 2 strategies, 2 metrics, bucketed
+    K = 1024 ways: the batched kernel gets 2,048 filters per call."""
+    w = _build_world(
+        spark, specs=SPECS[1:], n_segments=K1024_N_SEGMENTS,
+        n_buckets=K1024_N_BUCKETS, n_users=K1024_N_USERS,
+        experiments=[K1024_EXPERIMENT],
     )
     yield w
     for sdf in (w.encoding, w.metric_bsi, w.expose_bsi, w.dim_bsi):

@@ -136,3 +136,26 @@ def test_from_bitmap():
     b = BSI.from_bitmap(bm)
     assert set(as_dict(b).values()) <= {1}
     assert b.existence() == bm
+
+
+@pytest.mark.parametrize(
+    "x,y",
+    [
+        ({1: 5}, {1: 7}),
+        ({1: 5}, {2: 1}),  # Y where X does not exist: 0 - 1
+        ({1: 3, 2: 9}, {1: 4, 2: 1}),  # one bad position among good ones
+        ({1: 1}, {1: 2**63}),  # Y wider than X
+        (rand_dict(0), rand_dict(1)),
+    ],
+    ids=range(5),
+)
+def test_subtract_below_raises(x, y):
+    with pytest.raises(ValueError, match="X < Y"):
+        ref(x).subtract(ref(y))
+
+
+def test_add_const_below_raises():
+    x = ref({1: 3, 2: 10})
+    with pytest.raises(ValueError, match="X < Y"):
+        x.add_const(-4)
+    assert as_dict(x.add_const(-3)) == {2: 7}  # 3 - 3 = 0 is non-existing

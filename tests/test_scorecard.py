@@ -9,6 +9,8 @@ from repro.oracle import assert_equivalent
 from repro.platform import hashing as H
 from tests.conftest import (
     ALL_STRATEGIES,
+    K1024_EXPERIMENT,
+    K1024_N_BUCKETS,
     N_SEGMENTS,
     SPARSE_N_BUCKETS,
     SPARSE_N_SEGMENTS,
@@ -204,5 +206,30 @@ def test_sparse_bucketed_equals_normal_equals_oracle(sparse_world, spark):
     normal = SC.scorecard_normal(
         spark.createDataFrame(expose), w.metric_sdf, bucket_col="bucket_id", **kw
     )
+    assert_equivalent(bsi, sql, expose=expose, metric=w.metric)
+    assert_equivalent(normal, sql, expose=expose, metric=w.metric)
+
+
+@pytest.mark.parametrize("date", [1, 3])
+def test_k1024_bucketed_equals_normal_equals_oracle(k1024_world, spark, date):
+    """K = 1024 buckets, more than a strategy's exposed users in a
+    segment: most bucket filters select nobody and must yield no row."""
+    w = k1024_world
+    strategies = list(K1024_EXPERIMENT.strategy_ids)
+    metrics = [2, 3, 99]
+    rand_ids = w.expose["randomization_unit_id"].to_numpy()
+    expose = w.expose.assign(bucket_id=H.bucket_of(rand_ids, K1024_N_BUCKETS))
+    exposed = expose[expose.first_expose_date <= date]
+    n_cells = exposed.groupby(["strategy_id", "bucket_id"]).ngroups
+    assert len(strategies) * K1024_N_BUCKETS // 4 < n_cells < len(strategies) * K1024_N_BUCKETS
+    kw = dict(strategy_ids=strategies, metric_ids=metrics, date=date)
+    sql = oracle_sql(strategies, metrics, date, bucket="bucket_id")
+    bsi = SC.scorecard_bsi_bucketed(
+        w.expose_bsi, w.metric_bsi, n_buckets=K1024_N_BUCKETS, **kw
+    )
+    normal = SC.scorecard_normal(
+        spark.createDataFrame(expose), w.metric_sdf, bucket_col="bucket_id", **kw
+    )
+    assert bsi.count() == n_cells * len(metrics)
     assert_equivalent(bsi, sql, expose=expose, metric=w.metric)
     assert_equivalent(normal, sql, expose=expose, metric=w.metric)

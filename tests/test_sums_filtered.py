@@ -4,13 +4,19 @@
 several container keys, array and bitset containers (densified or
 not), keys on only one side, empty filters, ``None`` values, filters
 confined to the first or last word of a container, and values up to
-2**64 - 1."""
+2**64 - 1; packed (densified) values against their canonical form;
+the filters' counts, which :func:`repro.core.scorecard.score_segment`
+reports as exposed users."""
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bsi import bsi as B
 from repro.bsi.bitmap import RoaringBitmap
 from repro.bsi.bsi import BSI, sums_filtered
+from repro.core.scorecard import score_segment
 
 KEYS = st.integers(0, 3)
 # (container key, first low position, count, step): runs of up to 6000
@@ -104,3 +110,108 @@ def test_sums_filtered_splits_into_blocks():
     flts[0] = RoaringBitmap.from_array([0, (1 << 16) - 1, 1 << 16, (1 << 17) - 1])
     for values, fs in ((wide, flts[:3]), (narrow, flts)):
         assert sums_filtered(values, fs) == [[reference(v, f) for v in values] for f in fs]
+
+
+@st.composite
+def keyed_values(draw):
+    """``(positions, values)`` whose value width differs per block, so
+    the high slices of a wide block lack the keys of narrow blocks
+    (zero rows in the packed matrix)."""
+    pos, vals = [], []
+    for k, lo, n, step in draw(BLOCKS):
+        p = (k << 16) + np.arange(lo, min(lo + n * step, 1 << 16), step)
+        bits = draw(st.sampled_from([1, 3, 17, 64]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        v = rng.integers(1, (1 << bits) - 1, len(p), dtype=np.uint64, endpoint=True)
+        v[-1] = (1 << bits) - 1
+        pos.append(p)
+        vals.append(v)
+    if not pos:
+        return np.empty(0, np.int64), np.empty(0, np.uint64)
+    pos, vals = np.concatenate(pos), np.concatenate(vals)
+    pos, first = np.unique(pos, return_index=True)
+    return pos, vals[first]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(keyed_values(), max_size=4),
+    # filters may hold keys 4-5, which no value holds
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 65535), st.integers(1, 6000),
+                           st.integers(1, 3)), max_size=3).map(positions),
+        max_size=5,
+    ),
+    st.sampled_from([B._CHUNK_WORDS, 300, 1]),
+)
+def test_packed_equals_canonical_equals_python(columns, filter_pos, chunk_words):
+    canonical = [BSI.from_arrays(p, v) for p, v in columns]
+    packed = [BSI.from_arrays(p, v).densify() for p, v in columns]
+    flts = [RoaringBitmap.from_array(p) for p in filter_pos]
+    want = [[reference(v, f) for v in canonical] for f in flts]
+    with mock.patch.object(B, "_CHUNK_WORDS", chunk_words):  # forces block splits
+        for values in (packed, canonical):
+            got, counts = sums_filtered(values, flts, return_counts=True)
+            assert got == want
+            assert counts == [f.cardinality() for f in flts]
+    for c, p in zip(canonical, packed):
+        assert p == c
+        assert p.serialize() == c.serialize()
+
+
+def test_densify_packs_slices_into_one_matrix_per_key():
+    # key 0 holds 3-bit values, key 2 only value 1: slices 1 and 2 lack
+    # key 2, so their rows there are zero
+    pos = np.r_[np.arange(0, 9000, 2), (2 << 16) + np.arange(10)]
+    vals = np.r_[np.full(4500, 7), np.ones(10)].astype(np.uint64)
+    b = BSI.from_arrays(pos, vals)
+    blob = b.serialize()
+    b.densify()
+    assert sorted(b._packed) == [0, 2]
+    for k, m in b._packed.items():
+        assert m.shape == (3, 1024) and m.flags.c_contiguous
+        for i, s in enumerate(b.slices):
+            if k in s._c:
+                assert np.shares_memory(s._c[k], m[i])
+            else:
+                assert not m[i].any()
+    assert not b._packed[2][1:].any()
+    assert b.serialize() == blob
+    assert BSI.deserialize(blob).densify() == b
+
+
+def test_counts_of_empty_and_array_filters():
+    pos = np.arange(0, 70_000, 3)
+    b = BSI.from_arrays(pos, pos % 5).densify()
+    flts = [
+        RoaringBitmap.empty(),
+        RoaringBitmap.from_array([3, 6, 65_538]),  # array containers
+        RoaringBitmap.from_array(np.arange(1 << 16, 1 << 17)),  # a full container
+    ]
+    got, counts = sums_filtered([b, None], flts, return_counts=True)
+    assert counts == [0, 3, 1 << 16]
+    assert got == [[reference(b, f), 0] for f in flts]
+
+
+def test_score_segment_exposed_is_cardinality():
+    # two strategies over one segment, 4 buckets; strategy 2 exposes
+    # nobody on the date and bucket 4 (stored as 5) holds nobody, so
+    # those filters select no one and their rows are dropped
+    rng = np.random.default_rng(9)
+    pos = np.arange(5000)
+    offset1 = BSI.from_arrays(pos, rng.integers(1, 4, len(pos))).densify()
+    offset2 = BSI.from_arrays(pos, np.full(len(pos), 7)).densify()
+    bucket = BSI.from_arrays(pos, rng.integers(1, 4, len(pos), endpoint=True)).densify()
+    metric = BSI.from_arrays(pos, rng.integers(0, 100, len(pos))).densify()
+    exposes = [(1, 1, offset1, bucket), (2, 1, offset2, bucket)]
+    rows = score_segment(exposes, {7: metric}, date=2, metric_ids=[7, 8], n_buckets=5)
+    flt = offset1.le_const(2)
+    want = {}
+    for b in range(5):
+        bm = bucket.eq_const(b + 1) & flt
+        if bm.cardinality():
+            want[(1, 7, b)] = (float(metric.sum_filtered(bm)), bm.cardinality())
+            want[(1, 8, b)] = (0.0, bm.cardinality())
+    assert len(want) == 8  # buckets 0-3 of strategy 1, both metrics
+    assert {(s, m, b): (v, n) for s, m, b, v, n in rows} == want
+    assert len(rows) == len(want)
