@@ -56,7 +56,7 @@ def run(spark, n_users: int = 20_000):
 
     hr("CUPED (pre-period days 1-3 as covariate)")
     cov = PE.preexperiment_bsi(
-        conv["expose"], conv["metric"], strategy_ids=[1, 2], metric_id=1,
+        conv["expose"], conv["metric_tree"], strategy_ids=[1, 2], metric_id=1,
         pre_lo=1, pre_hi=3, expose_date=7,
     ).toPandas()
     res = PE.cuped_analysis(

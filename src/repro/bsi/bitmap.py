@@ -220,22 +220,11 @@ class RoaringBitmap:
         Compute policy, not storage: numpy bitset ops (the SIMD
         analogue) are ~10x cheaper per container than sort-based array
         set ops, so hot pipelines densify their long-lived bitmaps.
-        ``compact()``/``serialize()`` restore the canonical roaring
-        representation, so storage accounting is unaffected."""
+        ``serialize()`` picks each container's encoding from its
+        positions, not its form, so storage accounting is unaffected."""
         self._c = {
             k: (C.array_to_bitset(c) if C.is_array(c) else c)
             for k, c in self._c.items()
-        }
-        return self
-
-    def compact(self) -> "RoaringBitmap":
-        """Strictly renormalise every container (emptiness + the 4096
-        array/bitset threshold). Called before serialization so lazily
-        normalised op results serialize at canonical size."""
-        self._c = {
-            k: c2
-            for k, c in self._c.items()
-            if (c2 := C.normalize(c)) is not None
         }
         return self
 
@@ -268,8 +257,9 @@ class RoaringBitmap:
         """Compact byte encoding: magic, container count, then per
         container (key:u16, kind:u8, count:u32, payload). Kind picks
         the smallest of array / bitset / run encodings per container,
-        exactly as roaring-with-runs does."""
-        self.compact()
+        exactly as roaring-with-runs does; it is read from the
+        container's positions, so a bitset and an array container
+        holding the same positions write the same bytes."""
         parts = [_MAGIC, struct.pack("<I", len(self._c))]
         for k in sorted(self._c):
             kind, count, payload = self._encode_container(self._c[k])
@@ -336,7 +326,6 @@ class RoaringBitmap:
 
     def nbytes(self) -> int:
         """Size of the serialized form, used for storage accounting."""
-        self.compact()
         n = 7
         for c in self._c.values():
             kind, count = self._encoding(c)

@@ -113,11 +113,11 @@ def to_positions(c: np.ndarray | None) -> np.ndarray:
 def normalize(c: np.ndarray | None) -> np.ndarray | None:
     """Re-choose the representation by cardinality; ``None`` if empty.
 
-    Used at build/compact time; op hot paths use :func:`_lazy`, which
-    only detects emptiness (a cheap ``any()``) and otherwise keeps the
-    incoming representation — real roaring makes the same trade, and
-    :meth:`RoaringBitmap.compact` restores the strict form before
-    serialization so storage numbers are unaffected."""
+    Used at decode time and on array-array op results; other op hot
+    paths use :func:`_lazy`, which only detects emptiness (a cheap
+    ``any()``) and otherwise keeps the incoming representation — real
+    roaring makes the same trade, and serialization picks the encoding
+    from the positions, so storage numbers are unaffected."""
     n = card(c)
     if n == 0:
         return None

@@ -21,11 +21,22 @@ from repro.bsi.bitmap import RoaringBitmap
 from repro.bsi.bsi import BSI
 from repro.core.scorecard import scorecard_bsi, scorecard_normal
 
-#: predicate ops usable on a dimension BSI
-_OPS = {"eq": "eq_const", "ne": "ne_const", "lt": "lt_const",
-        "le": "le_const", "gt": "gt_const", "ge": "ge_const"}
+#: predicate op -> (its dimension-BSI method, its SQL operator)
+_OPS = {"eq": ("eq_const", "="), "ne": ("ne_const", "!="),
+        "lt": ("lt_const", "<"), "le": ("le_const", "<="),
+        "gt": ("gt_const", ">"), "ge": ("ge_const", ">=")}
 
 Predicate = tuple[str, str, int]  # (dimension_name, op, constant)
+
+
+def _check_predicates(predicates: list[Predicate]) -> None:
+    """Raise ValueError, on the driver, unless there is at least one
+    predicate and every op is known."""
+    if not predicates:
+        raise ValueError("a deep dive needs at least one predicate")
+    for _, op, _ in predicates:
+        if op not in _OPS:
+            raise ValueError(f"unknown predicate op {op!r}; known: {sorted(_OPS)}")
 
 
 def dim_filter_bsi(
@@ -36,11 +47,11 @@ def dim_filter_bsi(
 
     Each predicate produces a binary filter; they are AND-merged (mulBSI
     over binary BSIs, as in the §4.4 SQL's ``mulBSI(filter)``)."""
+    _check_predicates(predicates)
     names = sorted({p[0] for p in predicates})
     d = dim_bsi.filter(
         (F.col("date") == date) & F.col("dimension_name").isin(names)
     )
-    n_preds = len(predicates)
 
     def build(pdf: pd.DataFrame) -> pd.DataFrame:
         by_name = {
@@ -52,7 +63,7 @@ def dim_filter_bsi(
             if name not in by_name:
                 acc = RoaringBitmap.empty()
                 break
-            bm = getattr(by_name[name], _OPS[op])(int(k))
+            bm = getattr(by_name[name], _OPS[op][0])(int(k))
             acc = bm if acc is None else (acc & bm)
         return pd.DataFrame(
             {
@@ -61,7 +72,6 @@ def dim_filter_bsi(
             }
         )
 
-    assert n_preds > 0, "need at least one predicate"
     return d.groupBy("segment_id").applyInPandas(
         build, "segment_id int, dim_filter binary"
     )
@@ -99,13 +109,13 @@ def deepdive_normal(
 ) -> DataFrame:
     """Catalyst baseline: semi-join expose against each predicate's
     qualifying units, then the normal scorecard aggregation."""
-    ops = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+    _check_predicates(predicates)
     e = expose_df
     for name, op, k in predicates:
         qualifying = dim_df.filter(
             (F.col("date") == date)
             & (F.col("dimension_name") == name)
-            & F.expr(f"value {ops[op]} {int(k)}")
+            & F.expr(f"value {_OPS[op][1]} {int(k)}")
         ).select("analysis_unit_id")
         e = e.join(qualifying, "analysis_unit_id", "left_semi")
     return scorecard_normal(

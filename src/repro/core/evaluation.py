@@ -24,30 +24,20 @@ from repro.core.metrics105 import (
     MetricSpec,
     core_metrics_105,
 )
-from repro.platform import genlog
+from repro.platform import encode, genlog
 from repro.platform import hashing as H
 from repro.platform import storage as ST
 from repro.platform.adhoc import AdhocEngine
 
 
 # -- shared helpers ---------------------------------------------------
-def universe_positions(n_users: int, n_segments: int) -> tuple[np.ndarray, np.ndarray]:
-    """(segment, position) arrays indexed by analysis_unit_id - 1.
-
-    Positions are the §3.4.1 encoding: dense per segment, engagement
-    desc == id asc (engagement weights strictly decrease in id). The
-    equivalence with :func:`repro.platform.encode.encoding_pandas` is
-    asserted in tests."""
-    ids = np.arange(1, n_users + 1, dtype=np.int64)
-    seg = H.segment_of(ids, n_segments)
-    order = np.argsort(seg, kind="stable")
-    counts = np.bincount(seg, minlength=n_segments)
-    starts = np.repeat(
-        np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64), counts
-    )
-    pos = np.empty(n_users, dtype=np.uint32)
-    pos[order] = (np.arange(n_users) - starts).astype(np.uint32)
-    return seg, pos
+def _unit_positions(n_users: int, n_segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """(segment, position) arrays indexed by analysis_unit_id - 1: the
+    platform's §3.4.1 encoding of the whole universe."""
+    users = genlog.user_universe(n_users)
+    users["segment_id"] = H.segment_of(users["analysis_unit_id"].to_numpy(), n_segments)
+    enc = encode.encoding_pandas(users).sort_values("analysis_unit_id")
+    return enc["segment_id"].to_numpy(), enc["position"].to_numpy(np.uint32)
 
 
 def _segment_bsis(
@@ -78,15 +68,6 @@ def _segment_bsis(
     return out
 
 
-def _metric_day(
-    spec: MetricSpec, n_users: int, date: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(user_ids, values) of one metric-day, same sampler as genlog."""
-    g = np.random.default_rng((seed, spec.metric_id, date))
-    users = genlog._participating_users(g, n_users, spec.participation)
-    return users, genlog.metric_values(g, spec, len(users)).astype(np.uint64)
-
-
 # -- Table 4: storage of 105 metrics over a month ---------------------
 @dataclass
 class Table4Result:
@@ -114,12 +95,12 @@ def table4_storage(
 ) -> Table4Result:
     """Measure both formats over specs x n_days (paper: 105 x 29)."""
     specs = specs if specs is not None else core_metrics_105()
-    seg, pos = universe_positions(n_users, n_segments)
+    seg, pos = _unit_positions(n_users, n_segments)
     normal = ST.StorageStats("normal")
     bsi = ST.StorageStats("bsi")
     for spec in specs:
         for date in range(1, n_days + 1):
-            users, vals = _metric_day(spec, n_users, date, seed)
+            users, vals = genlog.metric_day(spec, n_users=n_users, date=date, seed=seed)
             buf = ST.normal_buffer(
                 seg[users - 1], np.full(len(users), date),
                 np.full(len(users), spec.metric_id), users, vals,
@@ -162,15 +143,15 @@ def table56_build(
     Default 4 segments: rows are scaled x1e-3 from the paper, and
     1024 paper segments x 1e-3 of the data per segment ~= 4 segments
     at the paper's per-segment density (~300k rows/segment for A)."""
-    seg, pos = universe_positions(n_users, n_segments)
+    seg, pos = _unit_positions(n_users, n_segments)
     out = {}
     for name, spec in TYPICAL_ABC.items():
         frames, bsis = [], []
         rows0 = orig0 = 0
         for date in (1, 2):
-            users, vals = _metric_day(spec, n_users, date, seed)
+            users, vals = genlog.metric_day(spec, n_users=n_users, date=date, seed=seed)
             frames.append(
-                pd.DataFrame({"user_id": users, "value": vals.astype("int64")})
+                pd.DataFrame({"user_id": users, "value": vals})
             )
             bsis.append(_segment_bsis(users, vals, seg, pos, n_segments, densify=True))
             if date == 1:
@@ -231,8 +212,6 @@ def table7_build(
 ) -> Table7Workload:
     """Build the §6.2 pre-computation workload: row logs, their BSI
     conversions (cached), and the strategy-metric pair batch."""
-    from repro.platform import encode
-
     all_specs = core_metrics_105()
     step = len(all_specs) // n_metrics
     specs = [all_specs[i * step] for i in range(n_metrics)]

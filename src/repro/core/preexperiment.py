@@ -1,10 +1,11 @@
 """Pre-experiment computation (§4.3): the CUPED covariate pipeline.
 
 The covariate for a user is its metric sum over the C days preceding
-the experiment start. On the BSI representation this is ``sumBSI`` of
-the C daily value BSIs per segment — accelerated by the pre-aggregate
-tree (:mod:`repro.platform.preagg`, Figure 6) — run through the
-scorecard kernel (§4.2) as one metric on the expose date.
+the experiment start. On the BSI representation this is the sumBSI,
+per segment, of the stored pre-aggregate tree nodes that cover those
+days (:mod:`repro.platform.preagg`, Figure 6): at most 2·⌈log₂C⌉ blobs
+per segment instead of C. It then runs through the scorecard kernel
+(§4.2) as one metric on the expose date.
 
 The normal baseline is the corresponding Catalyst pipeline on row
 logs (aggregate pre-period per user, join expose, group by bucket).
@@ -15,72 +16,54 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.bsi.bsi import BSI
+from repro.bsi.bsi import BSI, sum_bsi
 from repro.core import stats
 from repro.core.scorecard import bucket_frame_to_arrays, normal_grid, score_frames
-from repro.platform.preagg import PreAggTree
+from repro.platform import preagg
 
 
 def preperiod_sum_bsi(
-    metric_bsi: DataFrame,
+    metric_tree: DataFrame,
     *,
     metric_id: int,
     pre_lo: int,
     pre_hi: int,
-    use_tree: bool = True,
 ) -> DataFrame:
-    """Per-segment sumBSI of a metric over days [pre_lo, pre_hi].
+    """Per-segment sumBSI of a metric over days [pre_lo, pre_hi]: the
+    fold of the stored tree nodes (``metric_tree``, as
+    :func:`repro.platform.preagg.metric_tree` builds it) that cover
+    the range. A segment with no rows in the range yields no row."""
 
-    ``use_tree=True`` builds the Figure 6 pre-aggregate tree per
-    segment and answers through covering nodes; ``False`` folds the
-    days linearly (the unaccelerated §4.3 path). Results identical."""
-    m = metric_bsi.filter(
-        (F.col("metric_id") == metric_id)
-        & F.col("date").between(pre_lo, pre_hi)
-    )
-
-    def agg(pdf: pd.DataFrame) -> pd.DataFrame:
-        day_bsis = {
-            int(r.date): BSI.deserialize(r.value) for r in pdf.itertuples(index=False)
-        }
-        if use_tree:
-            tree = PreAggTree(
-                day_bsis, first_day=pre_lo, n_days=pre_hi - pre_lo + 1
-            )
-            acc = tree.query(pre_lo, pre_hi)
-        else:
-            acc = BSI.empty()
-            for b in day_bsis.values():
-                acc = acc.add(b)
+    def fold(pdf: pd.DataFrame) -> pd.DataFrame:
+        acc = sum_bsi(BSI.deserialize(v) for v in pdf["value"])
         return pd.DataFrame(
             {
-                "segment_id": [int(pdf.iloc[0]["segment_id"])],
+                "segment_id": [int(pdf["segment_id"].iloc[0])],
                 "metric_id": [metric_id],
                 "value": [acc.serialize()],
             }
         )
 
-    return m.groupBy("segment_id").applyInPandas(
-        agg, "segment_id int, metric_id long, value binary"
+    nodes = preagg.cover_rows(metric_tree, metric_id=metric_id, lo=pre_lo, hi=pre_hi)
+    return nodes.groupBy("segment_id").applyInPandas(
+        fold, "segment_id int, metric_id long, value binary"
     )
 
 
 def preexperiment_bsi(
     expose_bsi: DataFrame,
-    metric_bsi: DataFrame,
+    metric_tree: DataFrame,
     *,
     strategy_ids: list[int],
     metric_id: int,
     pre_lo: int,
     pre_hi: int,
     expose_date: int,
-    use_tree: bool = True,
 ) -> DataFrame:
     """Bucket values of the CUPED covariate for a strategy batch:
     same output schema as the scorecard, so the stats layer is shared."""
     cov = preperiod_sum_bsi(
-        metric_bsi, metric_id=metric_id, pre_lo=pre_lo, pre_hi=pre_hi,
-        use_tree=use_tree,
+        metric_tree, metric_id=metric_id, pre_lo=pre_lo, pre_hi=pre_hi
     )
     e = expose_bsi.filter(
         F.col("strategy_id").isin([int(s) for s in strategy_ids])

@@ -6,7 +6,7 @@
   log generators with the paper's distributional shape (§3.1, §3.5).
 - :mod:`repro.platform.encode` — position encoding and normal→BSI
   conversion pipelines on Spark (§3.4).
-- :mod:`repro.platform.preagg` — the pre-aggregate tree (Fig. 6).
+- :mod:`repro.platform.preagg` — the stored pre-aggregate tree (Fig. 6).
 - :mod:`repro.platform.adhoc` — in-process ad-hoc engine standing in
   for the ClickHouse cluster (§5.3).
 - :mod:`repro.platform.storage` — storage-format accounting (§6.1).

@@ -8,7 +8,9 @@ universe (:func:`encoding_pandas`) and joined into every log conversion.
 Conversions produce the paper's Table 2 layouts, with each BSI shipped
 as a serialized blob in a ``BinaryType`` column:
 
-- metric log BSI:    segment_id, date, metric_id, value(BSI)
+- metric log BSI:    segment_id, date, metric_id, value(BSI), and its
+                     pre-aggregate tree (Figure 6): segment_id,
+                     metric_id, date_lo, date_hi, value(BSI)
 - dimension log BSI: segment_id, date, dimension_name, value(BSI)
 - expose log BSI:    segment_id, strategy_id, min_expose_date,
                      offset(BSI), bucket(BSI)
@@ -25,6 +27,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.bsi.bsi import BSI
 from repro.platform import hashing as H
+from repro.platform import preagg
 
 
 def encoding_pandas(users_pdf: pd.DataFrame) -> pd.DataFrame:
@@ -43,47 +46,27 @@ def _bsi_blob(pos: np.ndarray, vals: np.ndarray) -> bytes:
     return BSI.from_arrays(pos, vals).serialize()
 
 
-def metric_log_to_bsi(metric_df: DataFrame, encoding: DataFrame) -> DataFrame:
-    """Normal metric log -> (segment_id, date, metric_id, value BSI)."""
-    joined = metric_df.join(encoding, ["analysis_unit_id", "segment_id"])
+def log_to_bsi(log_df: DataFrame, encoding: DataFrame, *, key: str) -> DataFrame:
+    """Normal metric or dimension log -> (segment_id, date, ``key``,
+    value BSI), ``key`` being the log's ``metric_id`` or
+    ``dimension_name`` column; the key keeps its column type."""
+    joined = log_df.join(encoding, ["analysis_unit_id", "segment_id"])
+    key_type = joined.schema[key].dataType.simpleString()
 
     def build(pdf: pd.DataFrame) -> pd.DataFrame:
-        head = pdf.iloc[0]
         return pd.DataFrame(
             {
-                "segment_id": [int(head["segment_id"])],
-                "date": [int(head["date"])],
-                "metric_id": [int(head["metric_id"])],
+                "segment_id": [int(pdf["segment_id"].iloc[0])],
+                "date": [int(pdf["date"].iloc[0])],
+                key: [pdf[key].iloc[0]],
                 "value": [
                     _bsi_blob(pdf["position"].to_numpy(), pdf["value"].to_numpy())
                 ],
             }
         )
 
-    return joined.groupBy("segment_id", "date", "metric_id").applyInPandas(
-        build, schema="segment_id int, date int, metric_id long, value binary"
-    )
-
-
-def dimension_log_to_bsi(dim_df: DataFrame, encoding: DataFrame) -> DataFrame:
-    """Normal dimension log -> (segment_id, date, dimension_name, value BSI)."""
-    joined = dim_df.join(encoding, ["analysis_unit_id", "segment_id"])
-
-    def build(pdf: pd.DataFrame) -> pd.DataFrame:
-        head = pdf.iloc[0]
-        return pd.DataFrame(
-            {
-                "segment_id": [int(head["segment_id"])],
-                "date": [int(head["date"])],
-                "dimension_name": [head["dimension_name"]],
-                "value": [
-                    _bsi_blob(pdf["position"].to_numpy(), pdf["value"].to_numpy())
-                ],
-            }
-        )
-
-    return joined.groupBy("segment_id", "date", "dimension_name").applyInPandas(
-        build, schema="segment_id int, date int, dimension_name string, value binary"
+    return joined.groupBy("segment_id", "date", key).applyInPandas(
+        build, schema=f"segment_id int, date int, {key} {key_type}, value binary"
     )
 
 
@@ -136,7 +119,10 @@ def full_bsi_conversion(
     """Convenience: run the whole normal→BSI conversion pipeline.
 
     Returns a dict with whichever of ``encoding``, ``metric``,
-    ``expose``, ``dimension`` were requested, as Spark DataFrames."""
+    ``metric_tree``, ``expose``, ``dimension`` were requested, as Spark
+    DataFrames. ``metric_tree`` is the Figure 6 pre-aggregate tree over
+    the metric frame (:func:`repro.platform.preagg.metric_tree`), lazy
+    like the rest: nothing computes it until a pre-period reads it."""
     users_pdf = users_pdf.copy()
     if "segment_id" not in users_pdf.columns:
         users_pdf["segment_id"] = H.segment_of(
@@ -145,7 +131,10 @@ def full_bsi_conversion(
     encoding = spark.createDataFrame(encoding_pandas(users_pdf))
     out: dict[str, DataFrame] = {"encoding": encoding}
     if metric_pdf is not None:
-        out["metric"] = metric_log_to_bsi(spark.createDataFrame(metric_pdf), encoding)
+        out["metric"] = log_to_bsi(
+            spark.createDataFrame(metric_pdf), encoding, key="metric_id"
+        )
+        out["metric_tree"] = preagg.metric_tree(out["metric"])
     if expose_pdf is not None:
         out["expose"] = expose_log_to_bsi(
             spark.createDataFrame(expose_pdf),
@@ -153,7 +142,7 @@ def full_bsi_conversion(
             n_buckets=n_buckets or n_segments,
         )
     if dim_pdf is not None:
-        out["dimension"] = dimension_log_to_bsi(
-            spark.createDataFrame(dim_pdf), encoding
+        out["dimension"] = log_to_bsi(
+            spark.createDataFrame(dim_pdf), encoding, key="dimension_name"
         )
     return out

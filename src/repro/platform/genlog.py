@@ -68,6 +68,16 @@ def metric_values(
     return np.minimum(np.floor(raw), spec.gen_range - 1).astype(np.int64) + 1
 
 
+def metric_day(
+    spec: MetricSpec, *, n_users: int, date: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(unit ids, values) of one metric-day, from its own (seed,
+    metric, date) stream."""
+    g = np.random.default_rng((seed, spec.metric_id, date))
+    users = _participating_users(g, n_users, spec.participation)
+    return users, metric_values(g, spec, len(users))
+
+
 def metric_log_pandas(
     specs: list[MetricSpec],
     *,
@@ -80,15 +90,14 @@ def metric_log_pandas(
     frames = []
     for spec in specs:
         for date in dates:
-            g = np.random.default_rng((seed, spec.metric_id, date))
-            users = _participating_users(g, n_users, spec.participation)
+            users, values = metric_day(spec, n_users=n_users, date=date, seed=seed)
             frames.append(
                 pd.DataFrame(
                     {
                         "date": np.full(len(users), date, dtype=np.int32),
                         "metric_id": np.full(len(users), spec.metric_id, dtype=np.int64),
                         "analysis_unit_id": users,
-                        "value": metric_values(g, spec, len(users)),
+                        "value": values,
                         "segment_id": H.segment_of(users, n_segments),
                     }
                 )

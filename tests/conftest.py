@@ -57,6 +57,7 @@ class World:
     # BSI conversions (spark frames, cached)
     encoding: object
     metric_bsi: object
+    metric_tree: object  # the Figure 6 pre-aggregate tree of metric_bsi
     expose_bsi: object
     dim_bsi: object
 
@@ -94,6 +95,7 @@ def _build_world(
         dim_sdf=spark.createDataFrame(dim),
         encoding=conv["encoding"].cache(),
         metric_bsi=conv["metric"].cache(),
+        metric_tree=conv["metric_tree"].cache(),
         expose_bsi=conv["expose"].cache(),
         dim_bsi=conv["dimension"].cache(),
     )
@@ -118,7 +120,7 @@ def sparse_world(spark):
         n_buckets=SPARSE_N_BUCKETS,
     )
     yield w
-    for sdf in (w.encoding, w.metric_bsi, w.expose_bsi, w.dim_bsi):
+    for sdf in (w.encoding, w.metric_bsi, w.metric_tree, w.expose_bsi, w.dim_bsi):
         sdf.unpersist()
 
 
@@ -132,5 +134,5 @@ def k1024_world(spark):
         experiments=[K1024_EXPERIMENT],
     )
     yield w
-    for sdf in (w.encoding, w.metric_bsi, w.expose_bsi, w.dim_bsi):
+    for sdf in (w.encoding, w.metric_bsi, w.metric_tree, w.expose_bsi, w.dim_bsi):
         sdf.unpersist()

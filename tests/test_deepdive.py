@@ -133,3 +133,19 @@ def test_sparse_bsi_equals_normal_equals_oracle(sparse_world, predicates):
     if predicates is RARE_PREDICATES:
         exposed = w.expose[w.expose.first_expose_date <= date]
         assert bsi.toPandas()["bucket_id"].nunique() < exposed["segment_id"].nunique()
+
+
+@pytest.mark.parametrize("method", ["bsi", "normal"])
+@pytest.mark.parametrize("predicates,match", [
+    ([], "at least one predicate"),
+    ([("client-type", "eq", 1), ("client-version", "like", 134)], "unknown predicate op"),
+])
+def test_bad_predicates_raise_on_driver(world, method, predicates, match):
+    """Both paths reject an empty predicate list and an unknown op with
+    ValueError while building the plan, before any Spark job runs."""
+    kw = dict(strategy_ids=[11], metric_ids=[1], date=3, predicates=predicates)
+    with pytest.raises(ValueError, match=match):
+        if method == "bsi":
+            DD.deepdive_bsi(world.expose_bsi, world.metric_bsi, world.dim_bsi, **kw)
+        else:
+            DD.deepdive_normal(world.expose_sdf, world.metric_sdf, world.dim_sdf, **kw)

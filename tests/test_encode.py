@@ -138,4 +138,6 @@ def test_conversion_rejects_negative_values(world, spark):
     bad = world.metric[world.metric.date == 1].head(50).copy()
     bad.loc[bad.index[0], "value"] = -1
     with pytest.raises(Exception, match="negative value"):
-        encode.metric_log_to_bsi(spark.createDataFrame(bad), world.encoding).collect()
+        encode.log_to_bsi(
+            spark.createDataFrame(bad), world.encoding, key="metric_id"
+        ).collect()

@@ -1,5 +1,5 @@
 """Evaluation harness: workload builders are lossless and both
-methods of every table agree; densify/compact preserve semantics."""
+methods of every table agree; densify preserves semantics."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -7,8 +7,6 @@ import pytest
 from repro.bsi.bsi import BSI
 from repro.core import evaluation as E
 from repro.core.metrics105 import MetricSpec, core_metrics_105
-from repro.platform import encode
-from repro.platform import hashing as H
 
 SMALL_SPECS = [
     MetricSpec(metric_id=1, name="s1", range_card=1, gen_range=1,
@@ -18,26 +16,9 @@ SMALL_SPECS = [
 ]
 
 
-def test_universe_positions_match_encoding_pandas():
-    n, segs = 5000, 8
-    seg, pos = E.universe_positions(n, segs)
-    users = pd.DataFrame(
-        {
-            "analysis_unit_id": np.arange(1, n + 1),
-            "engagement": np.linspace(2, 1, n),
-            "segment_id": H.segment_of(np.arange(1, n + 1), segs),
-        }
-    )
-    enc = encode.encoding_pandas(users)
-    for r in enc.sample(200, random_state=0).itertuples(index=False):
-        i = r.analysis_unit_id - 1
-        assert seg[i] == r.segment_id
-        assert pos[i] == r.position
-
-
 def test_segment_bsis_lossless():
     n, segs = 3000, 4
-    seg, pos = E.universe_positions(n, segs)
+    seg, pos = E._unit_positions(n, segs)
     g = np.random.default_rng(0)
     users = np.unique(g.integers(1, n + 1, 1200))
     vals = g.integers(1, 500, len(users)).astype(np.uint64)

@@ -180,6 +180,20 @@ def test_densify_packs_slices_into_one_matrix_per_key():
     assert BSI.deserialize(blob).densify() == b
 
 
+def test_serialize_and_nbytes_keep_packed_views():
+    """Sizing and writing a densified BSI read its containers in place:
+    every slice, sparse key 2 included, stays a view of its packed row."""
+    pos = np.r_[np.arange(0, 9000, 2), (2 << 16) + np.arange(10)]
+    vals = np.r_[np.full(4500, 7), np.ones(10)].astype(np.uint64)
+    blob = BSI.from_arrays(pos, vals).serialize()
+    b = BSI.from_arrays(pos, vals).densify()
+    assert b.nbytes() == len(blob)
+    assert b.serialize() == blob
+    for i, s in enumerate(b.slices):
+        for k, c in s._c.items():
+            assert np.shares_memory(c, b._packed[k][i])
+
+
 def test_counts_of_empty_and_array_filters():
     pos = np.arange(0, 70_000, 3)
     b = BSI.from_arrays(pos, pos % 5).densify()
