@@ -48,6 +48,57 @@ def _payload_size(kind: int, count: int) -> int:
     return (2 * count, 8 * C.BITSET_WORDS, 4 * count)[kind]
 
 
+def _kind(n: int, runs: int) -> tuple[int, int]:
+    """(kind, count field) of the smallest roaring encoding of a
+    container of ``n`` positions in ``runs`` runs: 0=array (count:
+    positions), 1=bitset (count 0), 2=runs (count: runs)."""
+    if 4 * runs < min(2 * n, 8 * C.BITSET_WORDS):
+        return 2, runs
+    if 2 * n <= 8 * C.BITSET_WORDS:
+        return 0, n
+    return 1, 0
+
+
+def encode_rows(m: np.ndarray) -> list[tuple[int, int, bytes] | None]:
+    """The ``(kind, count field, payload)`` a bitmap serializes for each
+    row of a ``(rows, 1024)`` bitset matrix taken as a container (None
+    for a zero row); the same bytes as ``_encode_container`` of the
+    row, with the counts and the positions taken for all rows at once,
+    over the span of words some row sets (a word before it is zero, so
+    no run starts across its edge)."""
+    used = np.flatnonzero(np.bitwise_or.reduce(m, axis=0))
+    if not len(used):
+        return [None] * len(m)
+    lo = int(used[0])
+    span = m[:, lo : int(used[-1]) + 1]
+    cards, runs = C.row_counts(span)
+    kinds = [_kind(n, r) if n else None for n, r in zip(cards.tolist(), runs.tolist())]
+    need = [i for i, k in enumerate(kinds) if k is not None and k[0] != 1]
+    lows = dict(zip(need, C.row_positions(span[need], cards[need], lo))) if need else {}
+    out = []
+    for i, k in enumerate(kinds):
+        if k is None:
+            out.append(None)
+        elif k[0] == 1:
+            out.append((1, 0, m[i].tobytes()))
+        elif k[0] == 0:
+            out.append((0, k[1], lows[i].tobytes()))
+        else:
+            out.append((2, k[1], C.runs_from_positions(lows[i]).tobytes()))
+    return out
+
+
+def write_containers(encoded: dict[int, tuple[int, int, bytes]]) -> bytes:
+    """A serialized bitmap from its containers' ``(kind, count field,
+    payload)`` by key."""
+    parts = [_MAGIC, struct.pack("<I", len(encoded))]
+    for k in sorted(encoded):
+        kind, count, payload = encoded[k]
+        parts.append(struct.pack("<HBI", k, kind, count))
+        parts.append(payload)
+    return b"".join(parts)
+
+
 class Probes:
     """Probe positions split once into container key and low 16 bits,
     for membership tests of one vector against many bitmaps (see
@@ -232,15 +283,9 @@ class RoaringBitmap:
     @staticmethod
     def _encoding(c: np.ndarray) -> tuple[int, int]:
         """(kind, count field) of the smallest of the three roaring
-        encodings: 0=array (count: positions), 1=bitset (count 0),
-        2=runs (count: runs). Cardinality and runs are counted on a
-        bitset's words, so no positions are built to choose."""
-        n, runs = C.card(c), C.run_count(c)
-        if 4 * runs < min(2 * n, 8 * C.BITSET_WORDS):
-            return 2, runs
-        if 2 * n <= 8 * C.BITSET_WORDS:
-            return 0, n
-        return 1, 0
+        encodings (:func:`_kind`). Cardinality and runs are counted on
+        a bitset's words, so no positions are built to choose."""
+        return _kind(C.card(c), C.run_count(c))
 
     @classmethod
     def _encode_container(cls, c: np.ndarray) -> tuple[int, int, bytes]:
@@ -260,12 +305,7 @@ class RoaringBitmap:
         exactly as roaring-with-runs does; it is read from the
         container's positions, so a bitset and an array container
         holding the same positions write the same bytes."""
-        parts = [_MAGIC, struct.pack("<I", len(self._c))]
-        for k in sorted(self._c):
-            kind, count, payload = self._encode_container(self._c[k])
-            parts.append(struct.pack("<HBI", k, kind, count))
-            parts.append(payload)
-        return b"".join(parts)
+        return write_containers({k: self._encode_container(c) for k, c in self._c.items()})
 
     @classmethod
     def deserialize(cls, buf: bytes) -> "RoaringBitmap":

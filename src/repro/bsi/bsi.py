@@ -36,10 +36,21 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.bsi import containers as C
-from repro.bsi.bitmap import Probes, RoaringBitmap, check_end, check_room, key_pieces
+from repro.bsi.bitmap import (
+    Probes,
+    RoaringBitmap,
+    check_end,
+    check_room,
+    encode_rows,
+    key_pieces,
+    write_containers,
+)
 
 _MAGIC = b"BS1"
 _EMPTY = RoaringBitmap.empty()
+
+#: Words of bit planes :meth:`BSI.from_arrays` holds at once (8 MB).
+_BUILD_WORDS = 1 << 20
 
 
 def _pack(slices: Sequence[RoaringBitmap], k: int) -> np.ndarray:
@@ -50,6 +61,27 @@ def _pack(slices: Sequence[RoaringBitmap], k: int) -> np.ndarray:
         c = s._c.get(k)
         if c is not None:
             row[:] = c if C.is_bitset(c) else C.array_to_bitset(c)
+    return m
+
+
+def _pack_piece(lo: np.ndarray, values: np.ndarray, nbits: int) -> np.ndarray:
+    """The ``(nbits, 1024)`` slice matrix of one container key, from its
+    sorted, duplicate-free low 16 bits and their values: row ``i`` ORs
+    bit ``i`` of each value into its position's bit. Values are cut
+    into bit planes, ``(rows, len(lo))`` at a time with at most
+    :data:`_BUILD_WORDS` words, and each plane is OR-reduced over the
+    runs of positions that share a word."""
+    word = lo >> 6
+    starts = np.flatnonzero(word[1:] != word[:-1]) + 1
+    starts = np.concatenate([[0], starts])
+    shift = (lo & 63).astype(np.uint64)
+    m = np.zeros((nbits, C.BITSET_WORDS), dtype=np.uint64)
+    step = max(1, _BUILD_WORDS // len(lo))
+    for i in range(0, nbits, step):
+        planes = values >> np.arange(i, min(i + step, nbits), dtype=np.uint64)[:, None]
+        planes &= np.uint64(1)
+        planes <<= shift
+        m[i : i + step, word[starts]] = np.bitwise_or.reduceat(planes, starts, axis=1)
     return m
 
 
@@ -80,7 +112,8 @@ class BSI:
             slices.pop()
         self.slices = slices
         self._ex: RoaringBitmap | None = None
-        # container key -> (nslices, 1024) slice matrix; set by densify
+        # container key -> (nslices, 1024) slice matrix; set by from_arrays
+        # or densify
         self._packed: dict[int, np.ndarray] | None = None
 
     # -- construction -------------------------------------------------
@@ -90,15 +123,23 @@ class BSI:
 
     @classmethod
     def from_arrays(cls, positions, values) -> "BSI":
-        """Build from parallel position/value vectors. Zero values are
-        dropped (non-existing); duplicate positions are an error, and
-        so are positions outside [0, 2**32) and negative or
-        non-integral values, which a cast would silently wrap.
+        """Build from parallel position/value vectors, in packed compute
+        form (:meth:`densify`). Zero values are dropped (non-existing);
+        duplicate positions are an error, and so are positions outside
+        [0, 2**32) and negative or non-integral values, which a cast
+        would silently wrap.
 
-        The input is sorted by position and split by container key
-        once; every slice then takes a sorted, duplicate-free
-        subsequence of each key's low bits, so its bitmap is built
-        without a sort of its own."""
+        Positions that arrive strictly increasing are taken as they
+        are; others are sorted once. Each container key's
+        ``(nslices, 1024)`` slice matrix is then written straight from
+        the values' bit planes: per run of positions sharing a 64-bit
+        word, one ``np.bitwise_or.reduceat`` ORs bit ``i`` of each
+        value, shifted to its position's bit, into row ``i``. A slice's
+        container at a key is a view of its row, so no array container
+        is built only to be widened; :meth:`serialize` reads the words,
+        so blobs do not depend on the form. Each key costs 8 KB per
+        slice however few positions it holds: positions are meant to be
+        dense, as the position encoding makes them."""
         positions = _as_uint(positions, np.uint32, "position")
         values = _as_uint(values, np.uint64, "value")
         if len(positions) != len(values):
@@ -107,17 +148,24 @@ class BSI:
         positions, values = positions[nz], values[nz]
         if len(values) == 0:
             return cls()
-        order = np.argsort(positions)
-        positions, values = positions[order], values[order]
-        if (positions[1:] == positions[:-1]).any():
-            raise ValueError("duplicate positions in BSI input")
+        if not (positions[1:] > positions[:-1]).all():
+            order = np.argsort(positions)
+            positions, values = positions[order], values[order]
+            if (positions[1:] == positions[:-1]).any():
+                raise ValueError("duplicate positions in BSI input")
+        nbits = int(values.max()).bit_length()
         lo, spans = key_pieces(positions)
-        pieces = [(k, lo[a:b], values[a:b]) for k, a, b in spans]
-        bits = np.uint64(1) << np.arange(int(values.max()).bit_length(), dtype=np.uint64)
-        return cls([
-            RoaringBitmap.from_sorted((k, p[(v & bit).astype(bool)]) for k, p, v in pieces)
-            for bit in bits
-        ])
+        slices = [RoaringBitmap() for _ in range(nbits)]
+        packed = {}
+        for k, a, b in spans:
+            packed[k] = m = _pack_piece(lo[a:b], values[a:b], nbits)
+            held = int(np.bitwise_or.reduce(values[a:b]))
+            for i in range(nbits):
+                if held >> i & 1:
+                    slices[i]._c[k] = m[i]
+        out = cls(slices)
+        out._packed = packed
+        return out
 
     @classmethod
     def from_bitmap(cls, bm: RoaringBitmap) -> "BSI":
@@ -443,9 +491,20 @@ class BSI:
 
     # -- serde --------------------------------------------------------
     def serialize(self) -> bytes:
+        """Magic, slice count, then each slice's bitmap blob, length
+        first. A packed BSI encodes each key's slice matrix in one pass
+        (:func:`~repro.bsi.bitmap.encode_rows`): the same bytes."""
+        if self._packed is None:
+            blobs = [s.serialize() for s in self.slices]
+        else:
+            enc: list[dict] = [{} for _ in self.slices]
+            for k, m in self._packed.items():
+                for e, row in zip(enc, encode_rows(m)):
+                    if row is not None:
+                        e[k] = row
+            blobs = [write_containers(e) for e in enc]
         parts = [_MAGIC, struct.pack("<B", len(self.slices))]
-        for s in self.slices:
-            b = s.serialize()
+        for b in blobs:
             parts.append(struct.pack("<I", len(b)))
             parts.append(b)
         return b"".join(parts)

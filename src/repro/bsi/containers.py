@@ -86,7 +86,8 @@ def array_to_bitset(a: np.ndarray) -> np.ndarray:
 
 def bitset_to_array(b: np.ndarray) -> np.ndarray:
     """Convert a bitset container to a (sorted) array container."""
-    bits = np.unpackbits(b.view(np.uint8), bitorder="little")
+    # a bool view: numpy finds the nonzeros of a bool vector fastest
+    bits = np.unpackbits(b.view(np.uint8), bitorder="little").view(bool)
     return np.flatnonzero(bits).astype(np.uint16)
 
 
@@ -154,20 +155,42 @@ def runs_from_positions(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """The first bit of every run of a bitset (or of each row of a
+    bitset matrix): the set bits of ``x & ~((x << 1) | carry)``, the
+    carry being the previous word's bit 63."""
+    starts = np.empty_like(x)
+    starts[..., 0] = 0
+    np.right_shift(x[..., :-1], np.uint64(63), out=starts[..., 1:])
+    starts |= x << np.uint64(1)
+    np.bitwise_and(x, ~starts, out=starts)
+    return starts
+
+
 def run_count(c: np.ndarray) -> int:
     """Number of runs of consecutive positions in ``c``. A bitset's runs
-    are counted on its words, as CRoaring does: a run starts at every
-    set bit whose lower neighbour is clear, i.e. at the set bits of
-    ``x & ~((x << 1) | carry)``, the carry being the previous word's
-    bit 63."""
+    are counted on its words, as CRoaring does (:func:`_run_starts`)."""
     if is_array(c):
         return int(np.count_nonzero(np.diff(c.astype(np.int32)) != 1)) + (len(c) > 0)
-    starts = np.empty_like(c)
-    starts[0] = 0
-    np.right_shift(c[:-1], np.uint64(63), out=starts[1:])
-    starts |= c << np.uint64(1)
-    np.bitwise_and(c, ~starts, out=starts)
-    return int(_swar(starts, np.empty_like(c)).sum())
+    return int(_swar(_run_starts(c), np.empty_like(c)).sum())
+
+
+def row_counts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cardinality and run count of every row of a ``(rows, 1024)``
+    bitset matrix, each in one popcount pass over the whole matrix."""
+    scratch = np.empty_like(m)
+    return popcount_rows(m.copy(), scratch), popcount_rows(_run_starts(m), scratch)
+
+
+def row_positions(m: np.ndarray, cards, word0: int = 0) -> list[np.ndarray]:
+    """Sorted uint16 positions of every row of a bitset matrix (or of
+    its words from ``word0`` on) whose row cardinalities are ``cards``:
+    one unpack and one bool nonzero scan for all rows."""
+    bits = np.unpackbits(
+        np.ascontiguousarray(m).view(np.uint8), axis=1, bitorder="little"
+    ).view(bool)
+    j = np.flatnonzero(bits) % bits.shape[1] + 64 * word0
+    return np.split(j.astype(np.uint16), np.cumsum(cards)[:-1])
 
 
 def positions_from_runs(runs: np.ndarray) -> np.ndarray:
@@ -192,8 +215,8 @@ def contains(c: np.ndarray | None, pos: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(c, pos)
         idx_c = np.minimum(idx, len(c) - 1)
         return c[idx_c] == pos
-    p = pos.astype(np.uint64)
-    return ((c[p >> np.uint64(6)] >> (p & np.uint64(63))) & np.uint64(1)).astype(bool)
+    # one byte per bit (little-endian words): a probe is one index
+    return np.unpackbits(c.view(np.uint8), bitorder="little").view(bool)[pos]
 
 
 def c_and(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:

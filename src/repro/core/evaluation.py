@@ -46,13 +46,8 @@ def _segment_bsis(
     seg: np.ndarray,
     pos: np.ndarray,
     n_segments: int,
-    densify: bool = False,
 ) -> list[BSI | None]:
-    """Split one metric-day into per-segment BSIs (None if empty).
-
-    ``densify=True`` puts the slices in bitset compute form for the
-    timing benchmarks (Tables 6/8); storage accounting (Table 4) keeps
-    the canonical roaring form."""
+    """Split one metric-day into per-segment BSIs (None if empty)."""
     s = seg[users - 1]
     p = pos[users - 1]
     order = np.argsort(s, kind="stable")
@@ -61,10 +56,7 @@ def _segment_bsis(
     out: list[BSI | None] = []
     for i in range(n_segments):
         lo, hi = bounds[i], bounds[i + 1]
-        b = BSI.from_arrays(p[lo:hi], v[lo:hi]) if hi > lo else None
-        if b is not None and densify:
-            b.densify()
-        out.append(b)
+        out.append(BSI.from_arrays(p[lo:hi], v[lo:hi]) if hi > lo else None)
     return out
 
 
@@ -153,7 +145,7 @@ def table56_build(
             frames.append(
                 pd.DataFrame({"user_id": users, "value": vals})
             )
-            bsis.append(_segment_bsis(users, vals, seg, pos, n_segments, densify=True))
+            bsis.append(_segment_bsis(users, vals, seg, pos, n_segments))
             if date == 1:
                 rows0 = len(users)
                 orig0 = len(users) * ST.NORMAL_ROW_BYTES

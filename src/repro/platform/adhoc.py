@@ -26,10 +26,12 @@ every requested (s, m, d).
 Loading (``from_logs``, the daily load into the nodes' cache) makes one
 stable sort per log on a packed (segment, metric, date) or (segment,
 strategy) key and one hash lookup from unit id to position; each group
-is then a slice of the sorted columns, built into a BSI by
-:meth:`repro.bsi.bsi.BSI.from_arrays` (one position sort per BSI) and
-packed by :meth:`repro.bsi.bsi.BSI.densify`: per container key, one
-slice matrix.
+is then a slice of the sorted columns, in log order, built by
+:meth:`repro.bsi.bsi.BSI.from_arrays` straight into the packed compute
+form: per container key, one slice matrix whose rows the slices'
+containers view. A log that lists units by id gives each group in
+ascending position (positions follow engagement, which falls with the
+id), so no group is sorted again.
 Unit ids must lie in [0, 2**32): the normal store keys its bitmaps by
 them, so the load rejects any other id rather than wrap it.
 """
@@ -138,7 +140,7 @@ class AdhocEngine:
         within the group. Unit ids map to positions by one hash lookup
         into the encoded ids (ids need not be dense); a row whose unit
         is not in ``users_pdf`` raises ValueError, as does an id outside
-        [0, 2**32) in any of the three frames. BSIs are stored packed
+        [0, 2**32) in any of the three frames. BSIs are built packed
         and the per-day exposed-user bitmaps densified: the compute
         forms."""
         eng = cls(n_segments, workers)
@@ -181,7 +183,7 @@ class AdhocEngine:
             # hot cached compute form: packed slice matrices (§5.3
             # keeps hot data resident; bitset words are our SIMD-op
             # equivalent)
-            s.metric_bsi[mkey] = BSI.from_arrays(pos[a:b], vals[a:b]).densify()
+            s.metric_bsi[mkey] = BSI.from_arrays(pos[a:b], vals[a:b])
 
         # expose log: key (segment, strategy)
         scode, sids = pd.factorize(expose_pdf["strategy_id"].to_numpy(), sort=True)
@@ -197,7 +199,7 @@ class AdhocEngine:
             min_date = int(fed.min())
             s.expose_bsi[sid] = (
                 min_date,
-                BSI.from_arrays(pos[a:b], fed - min_date + 1).densify(),
+                BSI.from_arrays(pos[a:b], fed - min_date + 1),
             )
             for d in dates:
                 s.expose_day_bitmaps[(sid, int(d))] = RoaringBitmap.from_array(

@@ -24,6 +24,7 @@ Dates are integer day indexes (1-based), as discussed in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import pandas as pd
@@ -32,12 +33,19 @@ from repro.core.metrics105 import MetricSpec
 from repro.platform import hashing as H
 
 
+@lru_cache(maxsize=8)
 def engagement_weights(n_users: int, beta: float = 0.35) -> np.ndarray:
     """Per-user activity weight, mean ~1, decaying in user id (low id =
-    heavy user). Drives both participation skew and position encoding."""
+    heavy user). Drives both participation skew and position encoding.
+
+    Every metric-day of a universe samples against the same weights,
+    so they are computed once per ``(n_users, beta)`` and returned
+    read-only."""
     u = np.arange(1, n_users + 1, dtype=np.float64)
     w = (n_users / u) ** beta
-    return w / w.mean()
+    w /= w.mean()
+    w.flags.writeable = False
+    return w
 
 
 def user_universe(n_users: int) -> pd.DataFrame:
@@ -86,23 +94,30 @@ def metric_log_pandas(
     n_segments: int,
     seed: int = 0,
 ) -> pd.DataFrame:
-    """Metric log rows for every (spec, date)."""
-    frames = []
-    for spec in specs:
-        for date in dates:
-            users, values = metric_day(spec, n_users=n_users, date=date, seed=seed)
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "date": np.full(len(users), date, dtype=np.int32),
-                        "metric_id": np.full(len(users), spec.metric_id, dtype=np.int64),
-                        "analysis_unit_id": users,
-                        "value": values,
-                        "segment_id": H.segment_of(users, n_segments),
-                    }
-                )
-            )
-    return pd.concat(frames, ignore_index=True)
+    """Metric log rows for every (spec, date), in spec then date order.
+
+    Each metric-day is drawn by :func:`metric_day`; the columns are
+    then built whole, one concatenate or repeat each, into a frame that
+    takes the arrays without copying them into blocks. Segments are
+    hashed once per universe unit and looked up by unit id."""
+    keys = [(spec.metric_id, date) for spec in specs for date in dates]
+    days = [
+        metric_day(spec, n_users=n_users, date=date, seed=seed)
+        for spec in specs
+        for date in dates
+    ]
+    counts = [len(users) for users, _ in days]
+    users = np.concatenate([np.empty(0, dtype=np.int64), *(u for u, _ in days)])
+    return pd.DataFrame(
+        {
+            "date": np.repeat(np.array([d for _, d in keys], dtype=np.int32), counts),
+            "metric_id": np.repeat(np.array([m for m, _ in keys], dtype=np.int64), counts),
+            "analysis_unit_id": users,
+            "value": np.concatenate([np.empty(0, dtype=np.int64), *(v for _, v in days)]),
+            "segment_id": H.segment_of(np.arange(1, n_users + 1), n_segments)[users - 1],
+        },
+        copy=False,
+    )
 
 
 @dataclass(frozen=True)

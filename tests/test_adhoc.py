@@ -166,7 +166,7 @@ def test_from_logs_matches_pandas_grouped_store(logs):
         uids, vals = grp["analysis_unit_id"].to_numpy(), grp["value"].to_numpy()
         got_uids, got_vals = s.metric_rows[(mid, d)]
         assert np.array_equal(got_uids, uids) and np.array_equal(got_vals, vals)
-        ref = BSI.from_arrays(pos_of.loc[uids].to_numpy(), vals).densify()
+        ref = BSI.from_arrays(pos_of.loc[uids].to_numpy(), vals)
         assert _same_bsi(s.metric_bsi[(mid, d)], ref)
         n_metric += 1
     assert sum(len(s.metric_bsi) for s in eng.segments) == n_metric
@@ -177,7 +177,7 @@ def test_from_logs_matches_pandas_grouped_store(logs):
         pos = pos_of.loc[grp["analysis_unit_id"].to_numpy()].to_numpy()
         min_date, got = eng.segments[seg].expose_bsi[sid]
         assert min_date == fed.min()
-        assert _same_bsi(got, BSI.from_arrays(pos, fed - fed.min() + 1).densify())
+        assert _same_bsi(got, BSI.from_arrays(pos, fed - fed.min() + 1))
         n_expose += 1
     assert sum(len(s.expose_bsi) for s in eng.segments) == n_expose
 
@@ -188,6 +188,34 @@ def test_from_logs_shuffled_metric_log(logs):
     shuffled = metric.sample(frac=1.0, random_state=5).reset_index(drop=True)
     eng2 = _load(users, shuffled, expose)
     assert _same_bsi_store(eng, eng2)
+    for a, b in zip(_queries(eng), _queries(eng2)):
+        pd.testing.assert_frame_equal(a, b)
+
+
+def test_from_logs_shuffled_logs_equal_sorted_logs(logs):
+    # shuffled rows reach from_arrays out of position order (the sorted
+    # path); log-ordered rows arrive increasing (no sort): same store
+    users, metric, expose = logs
+    eng = _load(users, metric, expose)
+    eng2 = _load(
+        users,
+        metric.sample(frac=1.0, random_state=11).reset_index(drop=True),
+        expose.sample(frac=1.0, random_state=12).reset_index(drop=True),
+    )
+    assert _same_bsi_store(eng, eng2)
+    for sa, sb in zip(eng.segments, eng2.segments):
+        pairs = [(sa.metric_bsi[k], sb.metric_bsi[k]) for k in sa.metric_bsi]
+        pairs += [(sa.expose_bsi[k][1], sb.expose_bsi[k][1]) for k in sa.expose_bsi]
+        for b, b2 in pairs:
+            assert b._packed.keys() == b2._packed.keys()
+            assert all(np.array_equal(b._packed[j], b2._packed[j]) for j in b._packed)
+        # row-format rows keep log order within a group: same rows
+        assert sa.metric_rows.keys() == sb.metric_rows.keys()
+        for k, (u, v) in sa.metric_rows.items():
+            u2, v2 = sb.metric_rows[k]
+            o, o2 = np.argsort(u), np.argsort(u2)
+            assert np.array_equal(u[o], u2[o2]) and np.array_equal(v[o], v2[o2])
+        assert sa.expose_day_bitmaps == sb.expose_day_bitmaps
     for a, b in zip(_queries(eng), _queries(eng2)):
         pd.testing.assert_frame_equal(a, b)
 

@@ -1,5 +1,5 @@
 """Building BSIs and choosing container encodings: ``BSI.from_arrays``
-(one position sort, slices built from sorted pieces) against a
+(packed slice matrices written from the values' bit planes) against a
 slice-by-slice ``RoaringBitmap.from_array`` reference, and the
 word-level run count of ``serialize`` against counting runs on the
 decoded positions."""
@@ -11,16 +11,43 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bsi import containers as C
-from repro.bsi.bitmap import RoaringBitmap
+from repro.bsi.bitmap import RoaringBitmap, encode_rows
 from repro.bsi.bsi import BSI
 
 U64_MAX = (1 << 64) - 1
 
 
-def _same_bitmap(a: RoaringBitmap, b: RoaringBitmap) -> bool:
-    return a._c.keys() == b._c.keys() and all(
-        a._c[k].dtype == b._c[k].dtype and np.array_equal(a._c[k], b._c[k]) for k in a._c
-    )
+def _same_positions(a: RoaringBitmap, b: RoaringBitmap) -> bool:
+    return a._c.keys() == b._c.keys() and np.array_equal(a.to_array(), b.to_array())
+
+
+def _assert_packed(b: BSI) -> None:
+    """Every key has one C-contiguous ``(nslices, 1024)`` matrix; a
+    slice's container there is a view of its row, and a slice without
+    the key has a zero row."""
+    keys = set().union(*(s._c.keys() for s in b.slices))
+    assert b._packed is not None and set(b._packed) == keys
+    for k, m in b._packed.items():
+        assert m.shape == (len(b.slices), C.BITSET_WORDS) and m.flags.c_contiguous
+        for s, row in zip(b.slices, m):
+            c = s._c.get(k)
+            if c is None:
+                assert not row.any()
+            else:
+                assert C.is_bitset(c) and np.shares_memory(c, row)
+                assert np.array_equal(c, row)
+
+
+def _kinds(bm_blob: bytes) -> dict[int, int]:
+    """Container key -> kind byte (0 array, 1 bitset, 2 runs) of a
+    serialized RoaringBitmap."""
+    (n,) = struct.unpack_from("<I", bm_blob, 3)
+    off, out = 7, {}
+    for _ in range(n):
+        k, kind, count = struct.unpack_from("<HBI", bm_blob, off)
+        off += 7 + (2 * count, 8 * C.BITSET_WORDS, 4 * count)[kind]
+        out[k] = kind
+    return out
 
 
 def _reference(pos: list[int], vals: list[int]) -> list[RoaringBitmap]:
@@ -64,19 +91,85 @@ def test_from_arrays_matches_slice_by_slice_reference(inp):
     ref = BSI(_reference(pos, vals))
     assert len(got.slices) == len(ref.slices)
     for g, r in zip(got.slices, ref.slices):
-        assert _same_bitmap(g, r)
+        assert _same_positions(g, r)
         assert g.serialize() == r.serialize()
     assert got.serialize() == ref.serialize()
+    _assert_packed(got)
 
 
 @pytest.mark.parametrize("n", [4095, 4096])
 def test_from_arrays_container_kind_at_threshold(n):
-    # array below 4096 positions per key, bitset from 4096 on
+    # in memory every container is a bitset row of its key's matrix; on
+    # disk the kind is chosen from the positions, as the slice-by-slice
+    # reference (array below 4096 per key, bitset from 4096) chooses it
     pos = np.concatenate([np.arange(n), (1 << 16) + np.arange(0, 2 * n, 2), [5 << 16]])
     got = BSI.from_arrays(pos[::-1], np.ones(len(pos), dtype=np.uint64))
-    kinds = {k: c.dtype for k, c in got.slices[0]._c.items()}
-    want = np.uint16 if n < 4096 else np.uint64
-    assert kinds == {0: want, 1: want, 5: np.uint16}
+    ref = RoaringBitmap.from_array(pos)
+    assert {k: c.dtype for k, c in ref._c.items()} == {
+        0: np.uint16 if n < 4096 else np.uint64, 1: np.uint16 if n < 4096 else np.uint64,
+        5: np.uint16,
+    }
+    _assert_packed(got)
+    assert {k: c.dtype for k, c in got.slices[0]._c.items()} == dict.fromkeys([0, 1, 5], np.uint64)
+    blob = got.slices[0].serialize()
+    assert blob == ref.serialize()
+    # key 0 is one run; key 1 (every other position) is an array while
+    # its 2n bytes fit the 8 KB of a bitset, which they do up to 4096
+    assert _kinds(blob) == {0: 2, 1: 0, 5: 0}
+
+
+@pytest.mark.parametrize("n, kind", [(4096, 0), (4097, 1)])
+def test_serialized_kind_from_packed_rows(n, kind):
+    # the array/bitset choice on disk, from a packed row: array up to
+    # 4096 positions (8 KB), bitset past it
+    pos = np.arange(0, 2 * n, 2)
+    blob = BSI.from_arrays(pos, np.ones(n, dtype=np.uint64)).slices[0].serialize()
+    assert _kinds(blob) == {0: kind}
+    assert blob == RoaringBitmap.from_array(pos).serialize()
+
+
+@pytest.mark.parametrize("order", ["increasing", "shuffled"])
+def test_from_arrays_sorted_or_shuffled_input(order):
+    # strictly increasing positions are taken without a sort; any other
+    # order is sorted first; both give the reference BSI
+    rng = np.random.default_rng(9)
+    pos = np.sort(rng.choice(3 << 16, 9000, replace=False)).astype(np.uint32)
+    vals = rng.integers(0, 1 << 40, len(pos), dtype=np.uint64)
+    if order == "shuffled":
+        perm = rng.permutation(len(pos))
+        pos, vals = pos[perm], vals[perm]
+    got = BSI.from_arrays(pos, vals)
+    ref = BSI(_reference(pos.tolist(), vals.tolist()))
+    assert got == ref and got.serialize() == ref.serialize()
+    _assert_packed(got)
+    o = np.argsort(pos)
+    keep = vals[o] != 0
+    p, v = got.to_arrays()
+    assert p.tolist() == pos[o][keep].tolist() and v.tolist() == vals[o][keep].tolist()
+
+
+def test_from_arrays_increasing_with_one_duplicate_raises():
+    pos = np.array([1, 5, 9, 9, 70000], dtype=np.uint32)
+    with pytest.raises(ValueError, match="duplicate positions"):
+        BSI.from_arrays(pos, np.arange(1, 6, dtype=np.uint64))
+    # a duplicate whose value is zero is dropped with its row, not an error
+    vals = np.array([1, 2, 0, 3, 4], dtype=np.uint64)
+    assert BSI.from_arrays(pos, vals).to_arrays()[0].tolist() == [1, 5, 9, 70000]
+
+
+def test_from_arrays_bounds_plane_blocks(monkeypatch):
+    # bit planes built a few rows at a time give the same matrices
+    import repro.bsi.bsi as B
+
+    rng = np.random.default_rng(3)
+    pos = rng.choice(1 << 18, 5000, replace=False)
+    vals = rng.integers(1, U64_MAX, len(pos), dtype=np.uint64, endpoint=True)
+    whole = BSI.from_arrays(pos, vals)
+    monkeypatch.setattr(B, "_BUILD_WORDS", 3 * 1500)
+    blocks = BSI.from_arrays(pos, vals)
+    assert whole._packed.keys() == blocks._packed.keys()
+    assert all(np.array_equal(whole._packed[k], blocks._packed[k]) for k in whole._packed)
+    _assert_packed(blocks)
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,12 +231,24 @@ def test_encoding_matches_counting_on_positions(c):
     assert C.run_count(array) == C.run_count(bitset) == len(C.runs_from_positions(array))
     for form in (array, bitset):
         assert RoaringBitmap._encode_container(form) == ref
+    assert encode_rows(bitset[None]) == [ref]
     bm = RoaringBitmap({7: C.normalize(bitset)})
     kind, count, payload = ref
     blob = b"RB1" + struct.pack("<I", 1) + struct.pack("<HBI", 7, kind, count) + payload
     assert bm.serialize() == blob
     assert bm.nbytes() == len(blob)
     assert RoaringBitmap.deserialize(blob) == bm
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(containers(), min_size=1, max_size=6), st.data())
+def test_encode_rows_matches_each_container(rows, data):
+    # a packed matrix's rows, zero rows among them, encode as their
+    # containers do one by one
+    m = np.stack([b for _, b in rows] + [np.zeros(C.BITSET_WORDS, np.uint64)])
+    m = m[data.draw(st.permutations(range(len(m))))]
+    want = [RoaringBitmap._encode_container(r) if r.any() else None for r in m]
+    assert encode_rows(m) == want
 
 
 @pytest.mark.parametrize("lows", [

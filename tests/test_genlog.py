@@ -1,10 +1,12 @@
 """Generator properties: schemas (paper Table 1), determinism, and the
 §3.5 distributional shape the BSI representation relies on."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.metrics105 import MetricSpec
 from repro.platform import genlog
+from repro.platform import hashing as H
 from tests.conftest import ALL_STRATEGIES, DATES, EXPERIMENTS, N_DAYS, N_SEGMENTS, N_USERS, SPECS
 
 
@@ -105,3 +107,57 @@ def test_engagement_weights_mean_one():
     w = genlog.engagement_weights(10_000)
     assert w.mean() == pytest.approx(1.0)
     assert w[0] > w[-1]
+
+
+def test_engagement_weights_cached_read_only():
+    w = genlog.engagement_weights(10_000)
+    assert genlog.engagement_weights(10_000) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    # the universe frame holds its own copy
+    assert genlog.user_universe(10_000)["engagement"].to_numpy().flags.writeable
+
+
+def _per_day_reference(specs, *, n_users, dates, n_segments, seed):
+    """One frame per metric-day from ``metric_day`` plus ``segment_of``,
+    concatenated in spec then date order."""
+    frames = [
+        pd.DataFrame({
+            "date": np.full(len(users), date, dtype=np.int32),
+            "metric_id": np.full(len(users), spec.metric_id, dtype=np.int64),
+            "analysis_unit_id": users,
+            "value": values,
+            "segment_id": H.segment_of(users, n_segments),
+        })
+        for spec in specs
+        for date in dates
+        for users, values in [genlog.metric_day(spec, n_users=n_users, date=date, seed=seed)]
+    ]
+    return pd.concat(frames, ignore_index=True)
+
+
+NOBODY = MetricSpec(metric_id=77, name="nobody", range_card=10, gen_range=10,
+                    participation=0.0, pareto_a=1.0)
+
+
+@pytest.mark.parametrize("specs", [SPECS, [SPECS[0], NOBODY, SPECS[1]]],
+                         ids=["world", "zero-participant"])
+def test_metric_log_equals_per_day_frames(specs):
+    kw = dict(n_users=N_USERS, dates=DATES, n_segments=N_SEGMENTS, seed=7)
+    got = genlog.metric_log_pandas(specs, **kw)
+    want = _per_day_reference(specs, **kw)
+    pd.testing.assert_frame_equal(got, want, check_index_type=True)
+    assert isinstance(got.index, pd.RangeIndex)
+    assert (pd.util.hash_pandas_object(got) == pd.util.hash_pandas_object(want)).all()
+    if NOBODY in specs:
+        assert not (got["metric_id"] == NOBODY.metric_id).any()
+
+
+def test_metric_log_of_no_specs_is_empty_and_typed():
+    got = genlog.metric_log_pandas([], n_users=N_USERS, dates=DATES, n_segments=N_SEGMENTS)
+    want = _per_day_reference(SPECS, n_users=N_USERS, dates=DATES,
+                              n_segments=N_SEGMENTS, seed=7).iloc[:0]
+    assert len(got) == 0 and isinstance(got.index, pd.RangeIndex)
+    assert list(got.columns) == list(want.columns)
+    assert got.dtypes.tolist() == want.dtypes.tolist()

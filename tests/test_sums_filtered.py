@@ -43,8 +43,8 @@ def value_bsis(draw):
     vals = rng.integers(1, (1 << bits) - 1, len(pos), dtype=np.uint64, endpoint=True)
     if len(vals):
         vals[0] = (1 << bits) - 1  # the widest value of this width
-    b = BSI.from_arrays(pos, vals)
-    return b.densify() if draw(st.booleans()) else b
+    b = BSI.from_arrays(pos, vals)  # packed; its decoded blob is not
+    return b if draw(st.booleans()) else BSI.deserialize(b.serialize())
 
 
 @st.composite
@@ -145,8 +145,8 @@ def keyed_values(draw):
     st.sampled_from([B._CHUNK_WORDS, 300, 1]),
 )
 def test_packed_equals_canonical_equals_python(columns, filter_pos, chunk_words):
-    canonical = [BSI.from_arrays(p, v) for p, v in columns]
-    packed = [BSI.from_arrays(p, v).densify() for p, v in columns]
+    packed = [BSI.from_arrays(p, v) for p, v in columns]
+    canonical = [BSI.deserialize(b.serialize()) for b in packed]
     flts = [RoaringBitmap.from_array(p) for p in filter_pos]
     want = [[reference(v, f) for v in canonical] for f in flts]
     with mock.patch.object(B, "_CHUNK_WORDS", chunk_words):  # forces block splits
@@ -164,8 +164,9 @@ def test_densify_packs_slices_into_one_matrix_per_key():
     # key 2, so their rows there are zero
     pos = np.r_[np.arange(0, 9000, 2), (2 << 16) + np.arange(10)]
     vals = np.r_[np.full(4500, 7), np.ones(10)].astype(np.uint64)
-    b = BSI.from_arrays(pos, vals)
-    blob = b.serialize()
+    blob = BSI.from_arrays(pos, vals).serialize()
+    b = BSI.deserialize(blob)
+    assert b._packed is None
     b.densify()
     assert sorted(b._packed) == [0, 2]
     for k, m in b._packed.items():
