@@ -15,16 +15,19 @@ Implemented operations:
 - BSI-vs-BSI comparisons per the paper's Algorithms 1–3 plus the
   derived ``le``/``gt``/``ge`` — all return a binary bitmap restricted
   to rows where both operands are non-zero;
-- BSI-vs-constant predicates (``lt_const`` .. ``ne_const``) and
-  ``range_search`` — the O'Neil–Quass bit-sliced predicate evaluation;
+- BSI-vs-constant predicates — the O'Neil–Quass bit-sliced predicate
+  evaluation, for a vector of constants in one pass over the packed
+  slice matrices (:meth:`BSI.const_masks`; ``lt_const`` .. ``ne_const``
+  are its one-constant case) — and ``range_search``;
 - in-BSI aggregates: ``sum``, ``count``, ``mean``, ``min``, ``max``,
   ``rank_value`` / ``quantile`` / ``median``;
 - aggregates over BSIs (§4.1.3): :func:`sum_bsi`, :func:`max_bsi`,
   :func:`mul_bsi`, :func:`distinct_pos`;
-- the batched filtered sum :func:`sums_filtered` (every filter ×
-  every value BSI, one popcount pass per cache-sized block, the
-  filters' own counts included), which ``sum``, ``sum_filtered`` and
-  the scorecard kernel run on;
+- the grouped filtered sum :func:`grouped_sums` (each group of
+  filters × its own value BSIs, one popcount pass per cache-sized
+  block, the filters' own counts included), which the scorecard
+  kernel runs on, and its one-group form over bitmaps,
+  :func:`sums_filtered`, which ``sum`` and ``sum_filtered`` run on;
 - the packed compute form (:meth:`BSI.densify`): per container key,
   one bit matrix whose row ``i`` is slice ``i``.
 """
@@ -51,6 +54,16 @@ _EMPTY = RoaringBitmap.empty()
 
 #: Words of bit planes :meth:`BSI.from_arrays` holds at once (8 MB).
 _BUILD_WORDS = 1 << 20
+
+#: The constant comparisons of :meth:`BSI.const_masks`.
+_CMP_OPS = ("lt", "le", "eq", "ge", "gt", "ne")
+
+#: A packed set of bitmaps: per container key, ``(lo, w)``, where
+#: ``w[..., j]`` holds word ``lo + j`` of each bitmap's container at the
+#: key (uint64; zero words where a bitmap lacks the key). The leading
+#: axes of ``w`` index the bitmaps; the kernel (:func:`grouped_sums`)
+#: reads them as ``(group, filter)``.
+Masks = dict[int, tuple[int, np.ndarray]]
 
 
 def _pack(slices: Sequence[RoaringBitmap], k: int) -> np.ndarray:
@@ -183,9 +196,10 @@ class BSI:
         holding slice ``i`` (a zero row where the slice lacks the key),
         and each slice's container becomes a view of its row. A
         bit-sliced index is a bit matrix (O'Neil & Quass 1997): the
-        filtered-sum kernel (:func:`sums_filtered`) cuts a value's
-        rows at a key as one ``[:, lo:hi]`` slice of it, while every
-        bitmap op still runs on the slices. Containers are immutable,
+        filtered-sum kernel (:func:`grouped_sums`) and the constant
+        predicates (:meth:`const_masks`) cut a value's rows at a key
+        as one ``[:, lo:hi]`` slice of it, while every other bitmap op
+        still runs on the slices. Containers are immutable,
         so the views never change; serialization reads the words, so
         blobs are the same bytes as before packing."""
         if self._packed is None:
@@ -368,48 +382,92 @@ class BSI:
         return other.lt(self) | self.eq(other)
 
     # -- BSI-vs-constant predicates -----------------------------------
-    def _cmp_const(self, k: int, side: str | None) -> tuple[RoaringBitmap, RoaringBitmap]:
-        """``(eq, acc)`` vs constant k over existing rows: ``eq`` holds
-        the rows == k and ``acc`` the rows < k (``side="lt"``), > k
-        (``"gt"``) or none (``None``). Scanning slices from the top,
-        only the accumulator asked for is built."""
-        ex = self.existence()
-        if k <= 0:  # every existing value is >= 1 > k
-            return _EMPTY, ex.copy() if side == "gt" else _EMPTY
-        if k.bit_length() > len(self.slices):  # every value < 2**nslices <= k
-            return _EMPTY, ex.copy() if side == "lt" else _EMPTY
-        eq, acc = ex, _EMPTY
-        for i in range(len(self.slices) - 1, -1, -1):
-            xi = self.slices[i]
-            if (k >> i) & 1:
-                if side == "lt":
-                    acc = acc | eq.andnot(xi)
-                eq = eq & xi
-            else:
-                if side == "gt":
-                    acc = acc | (eq & xi)
-                eq = eq.andnot(xi)
-        return eq, acc
+    def const_masks(self, op: str, ks: Sequence[int]) -> Masks:
+        """The existing rows whose value ``op`` each constant of ``ks``
+        holds (``op``: lt, le, eq, ge, gt or ne), in packed form: per
+        container key, ``w[j]`` holds the answer for ``ks[j]``.
+
+        The O'Neil–Quass bit-sliced comparison, run for every constant
+        at once: each key's slice matrix is cut to the words some row
+        sets, and one top-down pass over its rows keeps, per constant,
+        the rows equal to it so far and the rows already below it, with
+        the constants' bits as all-ones or all-zero words. Only ``lt``
+        and ``eq`` are computed: ``x <= k`` is ``x < k + 1``, and
+        ``ge``, ``gt`` and ``ne`` are the complements of ``lt``, ``le``
+        and ``eq`` within the existing rows. A constant of at most 0
+        holds no row equal or below; one of at least ``2**nslices``
+        holds every row below."""
+        if op not in _CMP_OPS:
+            raise ValueError(f"unknown comparison {op!r}; known: {_CMP_OPS}")
+        ks = [int(k) + (op in ("le", "gt")) for k in ks]
+        n = len(self.slices)
+        above = np.array([k >> n > 0 for k in ks], dtype=bool)  # every value is below k
+        # the bits of each constant in [1, 2**n); no value equals any other
+        nbytes = (n + 7) // 8
+        raw = b"".join(
+            (k if k > 0 and not a else 0).to_bytes(nbytes, "little") for k, a in zip(ks, above)
+        )
+        bits = np.unpackbits(
+            np.frombuffer(raw, np.uint8).reshape(len(ks), nbytes), axis=1, bitorder="little"
+        )
+        # row i: all-ones words where bit i of the constant is set
+        bits = np.negative(bits[:, :n].T.astype(np.uint64))[:, :, None]
+        eq_side = op in ("eq", "ne")
+        keys = self._packed if self._packed is not None else self.existence()._c
+        out = {}
+        for key in keys:
+            m = self._matrix(key)
+            ex = np.bitwise_or.reduce(m, axis=0)
+            used = np.flatnonzero(ex)
+            lo, hi = int(used[0]), int(used[-1]) + 1
+            m, ex = m[:, lo:hi], ex[lo:hi]
+            eq = np.repeat(ex[None], len(ks), axis=0)
+            lt = np.zeros_like(eq)
+            t = np.empty_like(eq)
+            for i in range(n - 1, -1, -1):
+                np.bitwise_xor(m[i], bits[i], out=t)
+                t &= eq  # equal so far, bit i differs from k's
+                eq ^= t
+                if not eq_side:  # ... and k's bit is 1: below k
+                    t &= bits[i]
+                    lt |= t
+            w = eq if eq_side else lt
+            if not eq_side:
+                w[above] = ex
+            if op in ("ge", "gt", "ne"):
+                w ^= ex
+            out[key] = (lo, w)
+        return out
+
+    def compare_const(self, op: str, ks: Sequence[int]) -> list[RoaringBitmap]:
+        """:meth:`const_masks` as one bitmap per constant, with bitset
+        containers (a zero row holds no container)."""
+        out = [RoaringBitmap() for _ in ks]
+        for key, (lo, w) in self.const_masks(op, ks).items():
+            full = np.zeros((len(ks), C.BITSET_WORDS), dtype=np.uint64)
+            full[:, lo : lo + w.shape[1]] = w
+            for bm, row, hit in zip(out, full, w.any(axis=1)):
+                if hit:
+                    bm._c[key] = row
+        return out
 
     def lt_const(self, k: int) -> RoaringBitmap:
-        return self._cmp_const(k, "lt")[1]
-
-    def eq_const(self, k: int) -> RoaringBitmap:
-        return self._cmp_const(k, None)[0]
-
-    def gt_const(self, k: int) -> RoaringBitmap:
-        return self._cmp_const(k, "gt")[1]
+        return self.compare_const("lt", [k])[0]
 
     def le_const(self, k: int) -> RoaringBitmap:
-        eq, lt = self._cmp_const(k, "lt")
-        return lt | eq
+        return self.compare_const("le", [k])[0]
+
+    def eq_const(self, k: int) -> RoaringBitmap:
+        return self.compare_const("eq", [k])[0]
 
     def ge_const(self, k: int) -> RoaringBitmap:
-        eq, gt = self._cmp_const(k, "gt")
-        return gt | eq
+        return self.compare_const("ge", [k])[0]
+
+    def gt_const(self, k: int) -> RoaringBitmap:
+        return self.compare_const("gt", [k])[0]
 
     def ne_const(self, k: int) -> RoaringBitmap:
-        return self.existence().andnot(self.eq_const(k))
+        return self.compare_const("ne", [k])[0]
 
     def range_search(self, lo: int, hi: int) -> RoaringBitmap:
         """Rows with lo <= value <= hi (existing rows only)."""
@@ -534,7 +592,7 @@ class BSI:
 
 
 # -- aggregate functions over BSIs (§4.1.3) ---------------------------
-#: Words ANDed and popcounted per pass of :func:`sums_filtered`: the
+#: Words ANDed and popcounted per pass of :func:`grouped_sums`: the
 #: row chunk and two working buffers, 512 KB each at most, stay in a
 #: core's L2 cache, where a stack of every value's slices at full
 #: container width would not. Buffers no bigger also keep the heap
@@ -548,6 +606,25 @@ _CHUNK_WORDS = 1 << 16
 _INT64_SLICES = 47
 
 
+def masks_of(bitmaps: Sequence[RoaringBitmap]) -> Masks:
+    """``bitmaps`` as a packed set, ``w`` of shape ``(len(bitmaps),
+    span)``, each key cut to the words some bitmap sets there."""
+    by_key: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for f, bm in enumerate(bitmaps):
+        for k, c in bm._c.items():
+            by_key.setdefault(k, []).append((f, c if C.is_bitset(c) else C.array_to_bitset(c)))
+    out = {}
+    for k, held in by_key.items():
+        used = np.flatnonzero(np.bitwise_or.reduce([c for _, c in held], axis=0))
+        if len(used):
+            lo, hi = int(used[0]), int(used[-1]) + 1
+            w = np.zeros((len(bitmaps), hi - lo), dtype=np.uint64)
+            for f, c in held:
+                w[f] = c[lo:hi]
+            out[k] = (lo, w)
+    return out
+
+
 def sums_filtered(
     values: Sequence[BSI | None],
     filters: Sequence[RoaringBitmap],
@@ -555,93 +632,115 @@ def sums_filtered(
     return_counts: bool = False,
 ):
     """``out[f][v]``: the exact sum of ``values[v]`` over the positions
-    in ``filters[f]`` (0 for a ``None`` value). With ``return_counts``
-    it returns ``(out, counts)``, ``counts[f]`` being the cardinality of
-    ``filters[f]``, taken in the same pass.
+    in ``filters[f]`` (0 for a ``None`` value), as Python ints. With
+    ``return_counts`` it returns ``(out, counts)``, ``counts[f]`` being
+    the cardinality of ``filters[f]``, taken in the same pass. The
+    batched form of :meth:`BSI.sum_filtered`: :func:`grouped_sums` with
+    one group."""
+    masks = {k: (lo, w[None]) for k, (lo, w) in masks_of(filters).items()}
+    sums, counts = grouped_sums([values], masks, len(filters))
+    if return_counts:
+        return sums[0].tolist(), counts[0].tolist()
+    return sums[0].tolist()
 
-    The batched form of :meth:`BSI.sum_filtered`. Per container key of
-    the filters, the filters' joint nonzero-word span ``[lo, hi)`` is
-    taken once and each value's slice matrix (:meth:`BSI.densify`) is
-    cut to it, ``[:, lo:hi]``: row ``i`` of a value weighs ``2**i``. An
-    all-ones row goes first, so each filter's own popcount is its
-    count. The rows are shared by all filters: each filter is ANDed
-    with them and popcounted in blocks of at most :data:`_CHUNK_WORDS`
-    words, in place, into buffers reused across blocks. A value that
-    was never densified is widened into a matrix for this call only."""
+
+def grouped_sums(
+    values: Sequence[Sequence[BSI | None]], masks: Masks, n_filters: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Filtered sums of groups of values, each group under its own
+    filters: ``masks`` holds ``(groups, n_filters)`` filters and
+    ``values`` one sequence of value BSIs per group (all of one length;
+    ``None`` sums to 0). Returns ``(sums, counts)``: ``sums[g, f, v]``
+    the exact sum of ``values[g][v]`` over filter ``(g, f)``, and
+    ``counts[g, f]`` that filter's cardinality. ``sums`` is int64 while
+    no total can reach 2**63 (up to 47 slices with one container key),
+    else Python ints.
+
+    Per container key of the masks, each value's slice matrix
+    (:meth:`BSI.densify`) is cut to the masks' span, ``[:, lo:hi]``; row
+    ``i`` of a value weighs ``2**i``. Each group's rows are led by an
+    all-ones row, whose popcount under a filter is its count. A group's
+    filters are ANDed with its own rows only and popcounted in blocks
+    of at most :data:`_CHUNK_WORDS` words, in place, into buffers
+    reused across blocks; per key, one ``np.add.reduceat`` then weighs
+    the popcounts of every group's values. A value that was never
+    densified is widened into a matrix for this call only."""
     # Reaches into the bitmaps' container dicts (same library;
     # containers are immutable and only the kernel's own buffers are
     # written).
-    totals = np.zeros((len(filters), len(values)), dtype=object)
-    counts = np.zeros(len(filters), dtype=np.int64)
-    by_key: dict[int, list[np.ndarray]] = {}
-    fidx: dict[int, list[int]] = {}
-    for f, bm in enumerate(filters):
-        for k, fc in bm._c.items():
-            by_key.setdefault(k, []).append(fc if C.is_bitset(fc) else C.array_to_bitset(fc))
-            fidx.setdefault(k, []).append(f)
-    for k, fbs in by_key.items():
-        words = [w for fb in fbs if len(w := np.flatnonzero(fb))]
-        if not words:
+    n_values = len(values[0]) if len(values) else 0
+    widest = max((len(x.slices) for vs in values for x in vs if x is not None), default=0)
+    # a sum over n keys needs (n - 1).bit_length() bits more than one key's
+    wide = widest + (len(masks) - 1).bit_length() > _INT64_SLICES
+    sums = np.zeros((len(values), n_filters, n_values), dtype=object if wide else np.int64)
+    counts = np.zeros((len(values), n_filters), dtype=np.int64)
+    for key, (lo, w) in masks.items():
+        span = w.shape[-1]
+        ones = np.full((1, span), ~np.uint64(0))
+        # pieces of rows: each group's ones row (value -1), then its values
+        pieces, piece_g, piece_v = [], [], []
+        for g, vs in enumerate(values):
+            pieces.append(ones)
+            piece_g.append(g)
+            piece_v.append(-1)
+            for v, x in enumerate(vs):
+                m = x._matrix(key) if x is not None else None
+                if m is not None:
+                    pieces.append(m[:, lo : lo + span])
+                    piece_g.append(g)
+                    piece_v.append(v)
+        pops = _popcounts(pieces, piece_g, w)
+        nrows = np.array([len(p) for p in pieces])
+        starts = np.cumsum(nrows) - nrows
+        shifts = np.arange(nrows.sum()) - np.repeat(starts, nrows)
+        piece_g, piece_v = np.array(piece_g), np.array(piece_v)
+        count = piece_v < 0
+        counts[piece_g[count]] += pops[:, starts[count]].T
+        if count.all():
             continue
-        lo = min(int(w[0]) for w in words)
-        hi = max(int(w[-1]) for w in words) + 1
-        span = hi - lo
-        rows = [np.full((1, span), ~np.uint64(0))]  # the filter's own row
-        vix = []
-        for v, x in enumerate(values):
-            m = x._matrix(k) if x is not None else None
-            if m is not None:
-                rows.append(m[:, lo:hi])
-                vix.append(v)
-        # row chunks of whole values, each at most ``per_block`` rows
-        # (per_block >= 64 rows, the most a from_arrays value has; a
-        # wider one, made by BSI arithmetic, is a chunk of its own); a
-        # block is a chunk times the filters that fit with it
-        per_block = _CHUNK_WORDS // span
-        n_f = len(fbs)
-        chunks, start, n = [], 0, 0  # (first piece, end piece, rows)
-        for i, r in enumerate(rows):
-            if n and n + len(r) > per_block:
-                chunks.append((start, i, n))
-                start, n = i, 0
-            n += len(r)
-        chunks.append((start, len(rows), n))
-        f_steps = [min(n_f, max(1, per_block // n)) for _, _, n in chunks]
-        mbuf = np.empty(max(n for _, _, n in chunks) * span, dtype=np.uint64)
-        cap = max(f * n for f, (_, _, n) in zip(f_steps, chunks))
-        buf = np.empty(cap * span, dtype=np.uint64)
-        tmp = np.empty_like(buf)
-        pops = np.empty((n_f, sum(len(r) for r in rows)), dtype=np.int64)
-        r0 = 0
-        for (i0, i1, n), f_step in zip(chunks, f_steps):
-            m = mbuf[: n * span].reshape(n, span)
-            np.concatenate(rows[i0:i1], out=m)
-            for f0 in range(0, n_f, f_step):
-                f1 = min(f0 + f_step, n_f)
-                out = buf[: (f1 - f0) * n * span].reshape(f1 - f0, n, span)
-                fblock = np.stack([fb[lo:hi] for fb in fbs[f0:f1]])
-                np.bitwise_and(m[None], fblock[:, None], out=out)
-                pops[f0:f1, r0 : r0 + n] = C.popcount_rows(
-                    out.reshape(-1, span), tmp[: out.size].reshape(-1, span)
-                ).reshape(f1 - f0, n)
-            r0 += n
-        counts[fidx[k]] += pops[:, 0]
-        if not vix:
-            continue
-        nrows = [len(r) for r in rows[1:]]
-        shifts = np.concatenate([np.arange(n) for n in nrows])
-        starts = np.cumsum([0, *nrows[:-1]])
-        pops = pops[:, 1:]
-        if shifts.max() < _INT64_SLICES:
-            sums = np.add.reduceat(pops << shifts, starts, axis=1).astype(object)
-        else:
-            sums = np.add.reduceat(
-                pops.astype(object) << shifts.astype(object), starts, axis=1
-            )
-        totals[np.ix_(fidx[k], vix)] += sums
-    if return_counts:
-        return totals.tolist(), counts.tolist()
-    return totals.tolist()
+        if wide:
+            pops, shifts = pops.astype(object), shifts.astype(object)
+        weighed = np.add.reduceat(pops << shifts, starts, axis=1)
+        sums[piece_g[~count], :, piece_v[~count]] += weighed[:, ~count].T
+    return sums, counts
+
+
+def _popcounts(pieces: list[np.ndarray], piece_g: list[int], w: np.ndarray) -> np.ndarray:
+    """``pops[f, r]``: the popcount of row ``r`` of the stacked
+    ``pieces`` ANDed with filter ``f`` of its piece's group
+    (``w[piece_g[piece], f]``).
+
+    Pieces are gathered into chunks of whole pieces of one group, at
+    most ``per_block`` rows each (a piece wider than that is a chunk of
+    its own); a block is a chunk times the filters that fit with it."""
+    n_f, span = w.shape[1], w.shape[2]
+    per_block = _CHUNK_WORDS // span
+    chunks, start, n = [], 0, 0  # (first piece, end piece, rows)
+    for i, p in enumerate(pieces):
+        if n and (n + len(p) > per_block or piece_g[i] != piece_g[start]):
+            chunks.append((start, i, n))
+            start, n = i, 0
+        n += len(p)
+    chunks.append((start, len(pieces), n))
+    f_steps = [max(1, min(n_f, per_block // n)) for _, _, n in chunks]
+    mbuf = np.empty(max(n for _, _, n in chunks) * span, dtype=np.uint64)
+    buf = np.empty(max(f * n for f, (_, _, n) in zip(f_steps, chunks)) * span, dtype=np.uint64)
+    tmp = np.empty_like(buf)
+    pops = np.empty((n_f, sum(n for _, _, n in chunks)), dtype=np.int64)
+    r0 = 0
+    for (i0, i1, n), f_step in zip(chunks, f_steps):
+        m = mbuf[: n * span].reshape(n, span)
+        np.concatenate(pieces[i0:i1], out=m)
+        fw = w[piece_g[i0]]
+        for f0 in range(0, n_f, f_step):
+            f1 = min(f0 + f_step, n_f)
+            out = buf[: (f1 - f0) * n * span].reshape(f1 - f0, n, span)
+            np.bitwise_and(m[None], fw[f0:f1, None], out=out)
+            pops[f0:f1, r0 : r0 + n] = C.popcount_rows(
+                out.reshape(-1, span), tmp[: out.size].reshape(-1, span)
+            ).reshape(f1 - f0, n)
+        r0 += n
+    return pops
 
 
 def sum_bsi(bsis: Iterable[BSI]) -> BSI:

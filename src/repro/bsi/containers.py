@@ -52,7 +52,7 @@ def _swar(x: np.ndarray, t: np.ndarray) -> np.ndarray:
 def popcount_rows(m: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """Row-wise popcount of a 2-D uint64 matrix — one numpy pass for a
     whole stack of bitset containers (the batched aggregate kernel
-    :func:`repro.bsi.bsi.sums_filtered` relies on this). The SWAR runs
+    :func:`repro.bsi.bsi.grouped_sums` relies on this). The SWAR runs
     in place: ``m`` is overwritten, ``scratch`` (a buffer of ``m``'s
     shape) is clobbered, and only the row sums are allocated."""
     return _swar(m, scratch).sum(axis=1)

@@ -21,10 +21,8 @@ from repro.bsi.bitmap import RoaringBitmap
 from repro.bsi.bsi import BSI
 from repro.core.scorecard import scorecard_bsi, scorecard_normal
 
-#: predicate op -> (its dimension-BSI method, its SQL operator)
-_OPS = {"eq": ("eq_const", "="), "ne": ("ne_const", "!="),
-        "lt": ("lt_const", "<"), "le": ("le_const", "<="),
-        "gt": ("gt_const", ">"), "ge": ("ge_const", ">=")}
+#: predicate op (a :meth:`BSI.compare_const` op) -> its SQL operator
+_OPS = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 Predicate = tuple[str, str, int]  # (dimension_name, op, constant)
 
@@ -63,7 +61,7 @@ def dim_filter_bsi(
             if name not in by_name:
                 acc = RoaringBitmap.empty()
                 break
-            bm = getattr(by_name[name], _OPS[op][0])(int(k))
+            bm = by_name[name].compare_const(op, [int(k)])[0]
             acc = bm if acc is None else (acc & bm)
         return pd.DataFrame(
             {
@@ -115,7 +113,7 @@ def deepdive_normal(
         qualifying = dim_df.filter(
             (F.col("date") == date)
             & (F.col("dimension_name") == name)
-            & F.expr(f"value {_OPS[op][1]} {int(k)}")
+            & F.expr(f"value {_OPS[op]} {int(k)}")
         ).select("analysis_unit_id")
         e = e.join(qualifying, "analysis_unit_id", "left_semi")
     return scorecard_normal(

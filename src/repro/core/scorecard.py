@@ -5,14 +5,17 @@ counts for strategy-metric pairs, in two interchangeable pipelines.
 (:func:`score_segment`). All BSIs of a segment are position-aligned by
 construction (§4.1.1), so per segment and strategy the exposed users
 are the constant predicate ``offset <= date - min_expose_date + 1``
-on the offset BSI, optionally ANDed with a dimension filter (deep
-dive, §4.4) and split by the bucket BSI; the segment's bucket values,
-``sum(value * filter)`` evaluated directly on slices, then come from
-one batched call (:func:`repro.bsi.bsi.sums_filtered`) over all its
-(strategy, bucket) filters and requested metrics. The scorecard,
-the bucketed scorecard, the CUPED covariate (§4.3) and the deep dive
-all run it through one cogroup by ``segment_id``
-(:func:`score_frames`); the ad-hoc engine calls it in-process.
+on the offset BSI, evaluated for all requested dates in one pass,
+optionally ANDed with a dimension filter (deep dive, §4.4) and split
+by the bucket BSI (one ``eq`` pass for all buckets); the segment's
+bucket values, ``sum(value * filter)`` evaluated directly on slices,
+then come from one batched call
+(:func:`repro.bsi.bsi.grouped_sums`) that sums each date's
+(strategy, bucket) filters against that date's requested metrics.
+The scorecard, the bucketed scorecard, the CUPED covariate (§4.3) and
+the deep dive run it for one date through one cogroup by
+``segment_id`` (:func:`score_frames`); the ad-hoc engine calls it
+in-process, once per segment for all the query's dates.
 
 **Normal pipeline** — the paper's pre-BSI baseline: plain Catalyst
 join / filter / groupBy over the row-format logs, exactly the Spark
@@ -33,15 +36,16 @@ the general case where buckets come from the randomization-unit hash.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.bsi import containers as C
 from repro.bsi.bitmap import RoaringBitmap
-from repro.bsi.bsi import BSI, sums_filtered
+from repro.bsi.bsi import BSI, grouped_sums
 
 RESULT_SCHEMA = (
     "strategy_id long, metric_id long, bucket_id int, "
@@ -57,49 +61,71 @@ Expose = tuple[int, int, BSI, "BSI | None"]
 
 # -- BSI pipeline -----------------------------------------------------
 def score_segment(
-    exposes: Iterable[Expose],
-    metrics: Mapping[int, BSI],
+    exposes: Sequence[Expose],
+    metrics: Mapping[tuple[int, int], BSI],
     *,
-    date: int,
-    metric_ids: list[int],
+    dates: Sequence[int],
+    metric_ids: Sequence[int],
     extra_filter: RoaringBitmap | None = None,
     n_buckets: int | None = None,
-) -> list[tuple]:
-    """One segment's rows of the scorecard grid, over decoded BSIs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One segment's cells of the scorecard grid on each of ``dates``,
+    over decoded BSIs.
 
-    ``metrics`` maps metric id to its value BSI on ``date``; a
-    requested id it lacks sums to 0. ``extra_filter`` is ANDed onto
-    every strategy's exposed users. With ``n_buckets`` each strategy's
-    filter is split once by its bucket BSI (which stores bucket + 1);
-    without it the segment is one bucket and the rows carry bucket
-    ``None`` for the caller to fill in. Every (strategy, bucket) filter
-    is then summed against every metric in one :func:`sums_filtered`
-    call, which also counts each filter's exposed users in the same
-    popcount pass.
+    ``metrics`` maps ``(metric_id, date)`` to the metric's value BSI on
+    that date; a requested pair it lacks sums to 0. Per strategy, one
+    pass of the constant predicate over its offset BSI
+    (:meth:`~repro.bsi.bsi.BSI.const_masks`) gives its exposed users
+    on every date, ``offset <= date - min_expose_date + 1``.
+    ``extra_filter`` is ANDed onto them. With ``n_buckets`` they are
+    split by the strategy's bucket BSI (which stores bucket + 1), its
+    ``eq`` predicate taken for every bucket in one pass too; without
+    it the segment is one bucket. One
+    :func:`~repro.bsi.bsi.grouped_sums` call then sums each date's
+    (strategy, bucket) filters against that date's metrics only, and
+    counts each filter's users in the same popcount pass.
 
-    Returns ``(strategy_id, metric_id, bucket, bucket_sum,
-    bucket_exposed)`` for every (strategy, bucket) with at least one
-    exposed user, times every id in ``metric_ids``."""
-    cells = []  # (strategy, bucket, filter)
-    for sid, min_date, offset, bucket in exposes:
-        flt = offset.le_const(date - min_date + 1)
-        if extra_filter is not None:
-            flt = flt & extra_filter
-        if n_buckets is None:
-            cells.append((sid, None, flt))
-        else:
-            cells += [(sid, b, bucket.eq_const(b + 1) & flt) for b in range(n_buckets)]
-    sums, counts = sums_filtered(
-        [metrics.get(mid) for mid in metric_ids],
-        [bm for _, _, bm in cells],
-        return_counts=True,
+    Returns ``(sums, exposed)``: ``sums[d, s, b, m]`` (float64, each
+    exact sum rounded once) for date ``dates[d]``, ``exposes[s]``,
+    bucket ``b`` (0 without ``n_buckets``) and ``metric_ids[m]``, and
+    ``exposed[d, s, b]`` (int64)."""
+    n_d, n_s = len(dates), len(exposes)
+    n_b = 1 if n_buckets is None else n_buckets
+    parts: dict[int, list[tuple[int, int, np.ndarray]]] = {}  # key -> (strategy, lo, words)
+    for s, (_, min_date, offset, bucket) in enumerate(exposes):
+        split = {} if n_buckets is None else bucket.const_masks("eq", range(1, n_b + 1))
+        for key, (lo, w) in offset.const_masks("le", [d - min_date + 1 for d in dates]).items():
+            if extra_filter is not None:
+                c = extra_filter._c.get(key)
+                if c is None:
+                    continue
+                w &= (c if C.is_bitset(c) else C.array_to_bitset(c))[lo : lo + w.shape[1]]
+            w = w[:, None]
+            if n_buckets is not None:
+                if key not in split:
+                    continue
+                lo_b, wb = split[key]
+                a, z = max(lo, lo_b), min(lo + w.shape[2], lo_b + wb.shape[1])
+                if a >= z:
+                    continue
+                w = w[:, :, a - lo : z - lo] & wb[None, :, a - lo_b : z - lo_b]
+                lo = a
+            parts.setdefault(key, []).append((s, lo, w))
+    masks = {}
+    for key, held in parts.items():
+        lo = min(a for _, a, _ in held)
+        hi = max(a + w.shape[2] for _, a, w in held)
+        full = np.zeros((n_d, n_s, n_b, hi - lo), dtype=np.uint64)
+        for s, a, w in held:
+            full[:, s, :, a - lo : a - lo + w.shape[2]] = w
+        masks[key] = (lo, full.reshape(n_d, n_s * n_b, hi - lo))
+    sums, exposed = grouped_sums(
+        [[metrics.get((mid, d)) for mid in metric_ids] for d in dates], masks, n_s * n_b
     )
-    return [
-        (sid, mid, b, float(total), exposed)
-        for (sid, b, _), row, exposed in zip(cells, sums, counts)
-        if exposed
-        for mid, total in zip(metric_ids, row)
-    ]
+    return (
+        sums.astype(np.float64).reshape(n_d, n_s, n_b, len(metric_ids)),
+        exposed.reshape(n_d, n_s, n_b),
+    )
 
 
 def _decode(blob: bytes) -> BSI:
@@ -139,21 +165,27 @@ def score_frames(
             for r in left.itertuples(index=False)
         ]
         metrics = {
-            int(r.metric_id): _decode(r.value) for r in right.itertuples(index=False)
+            (int(r.metric_id), date): _decode(r.value)
+            for r in right.itertuples(index=False)
         }
         extra = None
         if "dim_filter" in left.columns:
             extra = RoaringBitmap.deserialize(left["dim_filter"].iloc[0])
-        out = pd.DataFrame(
-            score_segment(
-                exposes, metrics, date=date, metric_ids=metric_ids,
-                extra_filter=extra, n_buckets=n_buckets,
-            ),
-            columns=RESULT_COLUMNS,
+        sums, exposed = score_segment(
+            exposes, metrics, dates=[date], metric_ids=metric_ids,
+            extra_filter=extra, n_buckets=n_buckets,
         )
-        if n_buckets is None:
-            out["bucket_id"] = int(left["segment_id"].iloc[0])
-        return out
+        s, b = np.nonzero(exposed[0])  # the cells with exposed users
+        sids = np.array([e[0] for e in exposes], dtype=np.int64)
+        bucket_ids = b if n_buckets is not None else np.full(len(s), left["segment_id"].iloc[0])
+        n_m = len(metric_ids)
+        return pd.DataFrame({
+            "strategy_id": np.repeat(sids[s], n_m),
+            "metric_id": np.tile(np.array(metric_ids, dtype=np.int64), len(s)),
+            "bucket_id": np.repeat(bucket_ids.astype(np.int64), n_m),
+            "bucket_sum": sums[0, s, b].ravel(),
+            "bucket_exposed": np.repeat(exposed[0, s, b], n_m),
+        })
 
     return (
         e.groupBy("segment_id")

@@ -7,12 +7,14 @@ one process: a per-segment in-memory store, a thread pool fanning a
 query out over segments, and two query methods sharing the store:
 
 - ``query_bsi``      — the paper's BSI method: the scorecard kernel
-  (:func:`repro.core.scorecard.score_segment`) per segment and date —
-  expose-offset constant predicate -> one filter bitmap per strategy
-  -> one batched filtered sum (:func:`repro.bsi.bsi.sums_filtered`)
-  over every requested metric's value BSI, which cuts each value's
-  packed slice matrix once per container key and counts each
-  strategy's exposed users in the same popcount pass.
+  (:func:`repro.core.scorecard.score_segment`) once per segment for
+  all the query's dates — per strategy, one pass of the expose-offset
+  constant predicate for every date's constant -> one filter per
+  (date, strategy) -> one grouped filtered sum
+  (:func:`repro.bsi.bsi.grouped_sums`) of each date's filters over
+  that date's requested metric BSIs, which cuts each value's packed
+  slice matrix once per container key and counts each filter's
+  exposed users in the same popcount pass.
 - ``query_normal``   — the paper's pre-BSI method (§6.3): per-day
   exposed-user bitmaps cached per strategy (densified, like the BSI
   store); per segment and date, one columnar scan of the requested
@@ -21,7 +23,10 @@ query out over segments, and two query methods sharing the store:
 
 Both answer "for strategies S x metrics M x dates D: exposed count and
 value sum per (s, m, d)", the Table 8 workload shape, with one row for
-every requested (s, m, d).
+every requested (s, m, d), in request order: each segment yields
+``(S, M, D)`` value and ``(S, D)`` exposed arrays, added up in segment
+order. A repeated id, or a date the store did not load, raises
+ValueError.
 
 Loading (``from_logs``, the daily load into the nodes' cache) makes one
 stable sort per log on a packed (segment, metric, date) or (segment,
@@ -39,7 +44,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 import pandas as pd
@@ -117,6 +121,7 @@ class AdhocEngine:
         self.n_segments = n_segments
         self.segments = [_Segment() for _ in range(n_segments)]
         self.workers = workers or 1
+        self.dates: frozenset[int] = frozenset()  # the dates from_logs loaded
 
     # -- loading ------------------------------------------------------
     @classmethod
@@ -144,6 +149,7 @@ class AdhocEngine:
         and the per-day exposed-user bitmaps densified: the compute
         forms."""
         eng = cls(n_segments, workers)
+        eng.dates = frozenset(int(d) for d in dates)
         u = users_pdf.copy()
         uid = _unit_ids(u, "users_pdf")
         if "segment_id" not in u.columns:
@@ -209,52 +215,55 @@ class AdhocEngine:
 
     # -- queries ------------------------------------------------------
     def _fan_out(self, per_segment, strategy_ids, metric_ids, dates) -> pd.DataFrame:
-        """Run ``per_segment`` over every segment and add up its
-        ``(strategy_id, metric_id, date, value_sum, exposed)`` tuples
-        onto the full requested grid."""
+        """Check the query, run ``per_segment`` over every segment and
+        add up its ``(value_sum, exposed)`` arrays, shaped ``(strategy,
+        metric, date)`` and ``(strategy, date)`` over the requested ids,
+        into the full requested grid. Raises ValueError on a repeated
+        id (each would be counted into one cell again) or on a date
+        the engine did not load."""
+        for what, ids in (("strategy", strategy_ids), ("metric", metric_ids), ("date", dates)):
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"repeated {what} ids in the query: {list(ids)}")
+        missing = [d for d in dates if d not in self.dates]
+        if missing:
+            raise ValueError(f"dates {missing} were not loaded (loaded: {sorted(self.dates)})")
         if self.workers <= 1:
             parts = [per_segment(i) for i in range(self.n_segments)]
         else:
             with ThreadPoolExecutor(max_workers=self.workers) as ex:
                 parts = list(ex.map(per_segment, range(self.n_segments)))
-        grid = {key: [0.0, 0] for key in product(strategy_ids, metric_ids, dates)}
-        for rows in parts:
-            for sid, mid, d, v, n in rows:
-                cell = grid[(sid, mid, d)]
-                cell[0] += v
-                cell[1] += n
-        return pd.DataFrame(
-            [(*key, v, n) for key, (v, n) in grid.items()],
-            columns=["strategy_id", "metric_id", "date", "value_sum", "exposed"],
-        )
+        n_s, n_m, n_d = len(strategy_ids), len(metric_ids), len(dates)
+        value = np.zeros((n_s, n_m, n_d))
+        exposed = np.zeros((n_s, n_d), dtype=np.int64)
+        for v, n in parts:
+            value += v
+            exposed += n
+        return pd.DataFrame({
+            "strategy_id": np.repeat(np.array(strategy_ids, dtype=np.int64), n_m * n_d),
+            "metric_id": np.tile(np.repeat(np.array(metric_ids, dtype=np.int64), n_d), n_s),
+            "date": np.tile(np.array(dates, dtype=np.int64), n_s * n_m),
+            "value_sum": value.ravel(),
+            "exposed": np.repeat(exposed, n_m, axis=0).ravel(),
+        })
 
     def query_bsi(
         self, *, strategy_ids: list[int], metric_ids: list[int], dates: list[int]
     ) -> pd.DataFrame:
         """BSI method: the scorecard kernel over each segment's store,
-        once per date."""
+        once per segment for all the query's dates."""
 
-        def per_segment(i: int) -> list[tuple]:
+        def per_segment(i: int) -> tuple[np.ndarray, np.ndarray]:
             s = self.segments[i]
-            exposes = [
-                (sid, *s.expose_bsi[sid], None)
-                for sid in strategy_ids
-                if sid in s.expose_bsi
-            ]
-            rows = []
-            for d in dates:
-                metrics = {
-                    mid: s.metric_bsi[(mid, d)]
-                    for mid in metric_ids
-                    if (mid, d) in s.metric_bsi
-                }
-                rows += [
-                    (sid, mid, d, v, n)
-                    for sid, mid, _, v, n in score_segment(
-                        exposes, metrics, date=d, metric_ids=metric_ids
-                    )
-                ]
-            return rows
+            here = [j for j, sid in enumerate(strategy_ids) if sid in s.expose_bsi]
+            exposes = [(strategy_ids[j], *s.expose_bsi[strategy_ids[j]], None) for j in here]
+            sums, exposed = score_segment(
+                exposes, s.metric_bsi, dates=dates, metric_ids=metric_ids
+            )
+            value = np.zeros((len(strategy_ids), len(metric_ids), len(dates)))
+            count = np.zeros((len(strategy_ids), len(dates)), dtype=np.int64)
+            value[here] = sums[:, :, 0].transpose(1, 2, 0)
+            count[here] = exposed[:, :, 0].T
+            return value, count
 
         return self._fan_out(per_segment, strategy_ids, metric_ids, dates)
 
@@ -268,13 +277,14 @@ class AdhocEngine:
         exposed-user bitmap, then one exact ``np.add.reduceat`` sums
         the matched values per metric."""
 
-        def per_segment(i: int) -> list[tuple]:
+        def per_segment(i: int) -> tuple[np.ndarray, np.ndarray]:
             s = self.segments[i]
-            rows = []
-            for d in dates:
+            value = np.zeros((len(strategy_ids), len(metric_ids), len(dates)))
+            count = np.zeros((len(strategy_ids), len(dates)), dtype=np.int64)
+            for t, d in enumerate(dates):
                 bitmaps = [
-                    (sid, s.expose_day_bitmaps[(sid, d)])
-                    for sid in strategy_ids
+                    (j, s.expose_day_bitmaps[(sid, d)])
+                    for j, sid in enumerate(strategy_ids)
                     if (sid, d) in s.expose_day_bitmaps
                 ]
                 if not bitmaps:
@@ -287,15 +297,10 @@ class AdhocEngine:
                 # repeat the first element of an empty one
                 full = lengths > 0
                 starts = (np.cumsum(lengths) - lengths)[full]
-                for sid, bm in bitmaps:
+                for j, bm in bitmaps:
                     hit = vals * bm.contains_array(probes)
-                    sums = np.zeros(len(metric_ids), dtype=vals.dtype)
-                    sums[full] = np.add.reduceat(hit, starts)
-                    exposed = bm.cardinality()
-                    rows += [
-                        (sid, mid, d, float(v), exposed)
-                        for mid, v in zip(metric_ids, sums.tolist())
-                    ]
-            return rows
+                    value[j, full, t] = np.add.reduceat(hit, starts)
+                    count[j, t] = bm.cardinality()
+            return value, count
 
         return self._fan_out(per_segment, strategy_ids, metric_ids, dates)

@@ -313,3 +313,55 @@ def test_normal_bsi_reference_agree_on_edge_store(edge_logs, metric_ids):
     pd.testing.assert_frame_equal(normal, ref)
     pd.testing.assert_frame_equal(bsi, ref)
     assert (ref[ref.date == 1][["value_sum", "exposed"]] == 0).all().all()
+
+
+@pytest.fixture(scope="module")
+def gap_logs(edge_logs):
+    """The edge logs with metric 3 absent on date 2 in every segment."""
+    users, metric, expose = edge_logs
+    return users, metric[~((metric.metric_id == 3) & (metric.date == 2))], expose
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unsorted_dates_empty_metric_day_agree(gap_logs, workers):
+    users, metric, expose = gap_logs
+    eng = AdhocEngine.from_logs(
+        users_pdf=users, metric_pdf=metric, expose_pdf=expose,
+        n_segments=LOAD_SEGMENTS, dates=LOAD_DAYS, workers=workers,
+    )
+    dates = [4, 1, 3, 2]  # unsorted; date 1 precedes every exposure
+    kw = dict(strategy_ids=[21, 11, 12], metric_ids=[3, 1], dates=dates)
+    bsi, normal = eng.query_bsi(**kw), eng.query_normal(**kw)
+    # one row per requested (strategy, metric, date), in request order
+    cells = [(s, m, d) for s in kw["strategy_ids"] for m in kw["metric_ids"] for d in dates]
+    assert list(zip(bsi.strategy_id, bsi.metric_id, bsi.date)) == cells
+    pd.testing.assert_frame_equal(bsi, normal)
+    ref = _reference(SimpleNamespace(metric=metric, expose=expose), **kw).astype("float64")
+    pd.testing.assert_frame_equal(_sorted(bsi).astype("float64"), ref)
+    day1 = bsi[bsi.date == 1]
+    assert (day1[["value_sum", "exposed"]] == 0).all().all()
+    gap = bsi[(bsi.metric_id == 3) & (bsi.date == 2)]
+    assert (gap.value_sum == 0).all() and (gap.exposed > 0).all()
+
+
+REPEATS = {
+    "strategy": dict(strategy_ids=[11, 12, 11]),
+    "metric": dict(metric_ids=[1, 2, 1]),
+    "date": dict(dates=[3, 1, 3]),
+}
+
+
+@pytest.mark.parametrize("method", ["query_bsi", "query_normal"])
+@pytest.mark.parametrize("field", sorted(REPEATS))
+def test_repeated_ids_raise(logs, method, field):
+    eng = _load(*logs)
+    kw = {**dict(strategy_ids=[11, 12], metric_ids=[1, 2], dates=[1, 3]), **REPEATS[field]}
+    with pytest.raises(ValueError, match=f"repeated {field} ids"):
+        getattr(eng, method)(**kw)
+
+
+@pytest.mark.parametrize("method", ["query_bsi", "query_normal"])
+def test_unloaded_date_raises(logs, method):
+    eng = _load(*logs, dates=(1, 2))
+    with pytest.raises(ValueError, match=r"dates \[5\] were not loaded \(loaded: \[1, 2\]\)"):
+        getattr(eng, method)(strategy_ids=[11], metric_ids=[1], dates=[2, 5])

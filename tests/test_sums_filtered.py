@@ -219,7 +219,10 @@ def test_score_segment_exposed_is_cardinality():
     bucket = BSI.from_arrays(pos, rng.integers(1, 4, len(pos), endpoint=True)).densify()
     metric = BSI.from_arrays(pos, rng.integers(0, 100, len(pos))).densify()
     exposes = [(1, 1, offset1, bucket), (2, 1, offset2, bucket)]
-    rows = score_segment(exposes, {7: metric}, date=2, metric_ids=[7, 8], n_buckets=5)
+    sums, exposed = score_segment(
+        exposes, {(7, 2): metric}, dates=[2], metric_ids=[7, 8], n_buckets=5
+    )
+    assert sums.shape == (1, 2, 5, 2) and exposed.shape == (1, 2, 5)
     flt = offset1.le_const(2)
     want = {}
     for b in range(5):
@@ -228,5 +231,10 @@ def test_score_segment_exposed_is_cardinality():
             want[(1, 7, b)] = (float(metric.sum_filtered(bm)), bm.cardinality())
             want[(1, 8, b)] = (0.0, bm.cardinality())
     assert len(want) == 8  # buckets 0-3 of strategy 1, both metrics
-    assert {(s, m, b): (v, n) for s, m, b, v, n in rows} == want
-    assert len(rows) == len(want)
+    got = {
+        (exposes[s][0], mid, b): (sums[0, s, b, m], exposed[0, s, b])
+        for s, b in zip(*np.nonzero(exposed[0]))
+        for m, mid in enumerate([7, 8])
+    }
+    assert got == want
+    assert not sums[0][exposed[0] == 0].any()
