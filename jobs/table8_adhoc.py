@@ -3,7 +3,8 @@ engine (ClickHouse substitute): 3 strategies x 105 core metrics x one
 week, BSI method vs normal bitmap-filtered scan, averaged over repeats.
 
 Paper: Normal 22.3 s, BSI 6.0 s average latency (~3.7x). Also prints
-the time ``table8_build`` takes to generate the logs and load the store.
+the time ``table8_build`` takes to generate the logs and load the store,
+and the bytes the store holds per component (``AdhocEngine.footprint``).
 
 Usage: python jobs/table8_adhoc.py [n_users] [repeats]
 """
@@ -36,6 +37,8 @@ def run(n_users: int = 120_000, repeats: int = 10):
     print(f"\nspeedup: {out['Normal'] / out['BSI']:.1f}x (paper {22.3 / 6.0:.1f}x)")
     print(f"table8_build (log generation + store load): {build_s:.2f} s")
     out["table8_build"] = build_s
+    out["footprint"] = w.engine.footprint()
+    print("store footprint: " + ", ".join(f"{k} {v / 2**20:.1f} MiB" for k, v in out["footprint"].items()))
     return out
 
 

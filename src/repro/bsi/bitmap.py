@@ -43,7 +43,7 @@ def key_pieces(pos: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]
     return lo, [(int(hi[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _payload_size(kind: int, count: int) -> int:
+def payload_size(kind: int, count: int) -> int:
     """Payload bytes of a serialized container: array, bitset, runs."""
     return (2 * count, 8 * C.BITSET_WORDS, 4 * count)[kind]
 
@@ -59,28 +59,31 @@ def _kind(n: int, runs: int) -> tuple[int, int]:
     return 1, 0
 
 
-def encode_rows(m: np.ndarray) -> list[tuple[int, int, bytes] | None]:
+def row_kinds(m: np.ndarray) -> tuple[list[tuple[int, int] | None], np.ndarray]:
+    """The ``(kind, count field)`` of each row of a bitset word matrix
+    taken as a container (None for a zero row), and the rows'
+    cardinalities: what sizing needs of :func:`encode_rows`."""
+    cards, runs = C.row_counts(m)
+    return [_kind(n, r) if n else None for n, r in zip(cards.tolist(), runs.tolist())], cards
+
+
+def encode_rows(m: np.ndarray, lo: int = 0) -> list[tuple[int, int, bytes] | None]:
     """The ``(kind, count field, payload)`` a bitmap serializes for each
-    row of a ``(rows, 1024)`` bitset matrix taken as a container (None
-    for a zero row); the same bytes as ``_encode_container`` of the
-    row, with the counts and the positions taken for all rows at once,
-    over the span of words some row sets (a word before it is zero, so
-    no run starts across its edge)."""
-    used = np.flatnonzero(np.bitwise_or.reduce(m, axis=0))
-    if not len(used):
-        return [None] * len(m)
-    lo = int(used[0])
-    span = m[:, lo : int(used[-1]) + 1]
-    cards, runs = C.row_counts(span)
-    kinds = [_kind(n, r) if n else None for n, r in zip(cards.tolist(), runs.tolist())]
+    row of a bitset word matrix taken as a container (None for a zero
+    row): column ``j`` of ``m`` is word ``lo + j`` of the container,
+    and the words outside ``m`` are zero. The same bytes as
+    ``_encode_container`` of the widened row, with the counts and the
+    positions taken for all rows at once over ``m``'s words only (the
+    word before ``lo`` is zero, so no run starts across its edge)."""
+    kinds, cards = row_kinds(m)
     need = [i for i, k in enumerate(kinds) if k is not None and k[0] != 1]
-    lows = dict(zip(need, C.row_positions(span[need], cards[need], lo))) if need else {}
+    lows = dict(zip(need, C.row_positions(m[need], cards[need], lo))) if need else {}
     out = []
     for i, k in enumerate(kinds):
         if k is None:
             out.append(None)
         elif k[0] == 1:
-            out.append((1, 0, m[i].tobytes()))
+            out.append((1, 0, C.widen(lo, m[i]).tobytes()))
         elif k[0] == 0:
             out.append((0, k[1], lows[i].tobytes()))
         else:
@@ -108,26 +111,32 @@ class Probes:
     the probes touch; ``index`` places a piece's answers in the output
     (a full slice when every probe falls in one key). The keys are
     found by counting, not sorting. A position outside [0, 2**32)
-    belongs to no bitmap, so it joins no piece."""
+    belongs to no bitmap, so it joins no piece; a vector of at most
+    32-bit unsigned ints holds none, and is split without a copy to a
+    wider type."""
 
     __slots__ = ("n", "pieces")
 
     def __init__(self, pos):
         pos = np.asarray(pos)
         self.n = len(pos)
-        keep = None  # None: every probe is a valid position
-        if len(pos) and (pos.min() < 0 or pos.max() > 0xFFFFFFFF):
-            keep = np.flatnonzero((pos >= 0) & (pos <= 0xFFFFFFFF))
-            pos = pos[keep]
-        pos = pos.astype(np.intp, copy=False)
-        hi, lo = pos >> 16, (pos & 0xFFFF).astype(np.uint16)
-        keys = np.flatnonzero(np.bincount(hi))
-        if len(keys) == 1:
-            whole = slice(None) if keep is None else keep
-            self.pieces = [(int(keys[0]), whole, lo)]
-            return
         self.pieces = []
-        for k in keys:
+        if not len(pos):
+            return
+        keep = None  # None: every probe is a valid position
+        if pos.dtype.kind != "u" or pos.dtype.itemsize > 4:
+            if pos.min() < 0 or pos.max() > 0xFFFFFFFF:
+                keep = np.flatnonzero((pos >= 0) & (pos <= 0xFFFFFFFF))
+                pos = pos[keep]
+            pos = pos.astype(np.intp, copy=False)
+        hi, lo = pos >> 16, (pos & 0xFFFF).astype(np.uint16)
+        if not len(hi):
+            return
+        if hi.min() == hi.max():
+            whole = slice(None) if keep is None else keep
+            self.pieces = [(int(hi[0]), whole, lo)]
+            return
+        for k in np.flatnonzero(np.bincount(hi)):
             m = np.flatnonzero(hi == k)
             self.pieces.append((int(k), m if keep is None else keep[m], lo[m]))
 
@@ -331,7 +340,7 @@ class RoaringBitmap:
             if k <= prev:
                 raise ValueError(f"RoaringBitmap container key {k} after key {prev}")
             prev = k
-            size = _payload_size(kind, m)
+            size = payload_size(kind, m)
             check_room(buf, off, size, "RoaringBitmap")
             if kind == 1:
                 c = np.frombuffer(
@@ -364,10 +373,14 @@ class RoaringBitmap:
         check_end(buf, off, "RoaringBitmap")
         return cls(out)
 
+    def held_bytes(self) -> int:
+        """Bytes its containers hold in memory."""
+        return sum(c.nbytes for c in self._c.values())
+
     def nbytes(self) -> int:
         """Size of the serialized form, used for storage accounting."""
         n = 7
         for c in self._c.values():
             kind, count = self._encoding(c)
-            n += 7 + _payload_size(kind, count)
+            n += 7 + payload_size(kind, count)
         return n

@@ -29,7 +29,9 @@ Implemented operations:
   kernel runs on, and its one-group form over bitmaps,
   :func:`sums_filtered`, which ``sum`` and ``sum_filtered`` run on;
 - the packed compute form (:meth:`BSI.densify`): per container key,
-  one bit matrix whose row ``i`` is slice ``i``.
+  one bit matrix whose row ``i`` is slice ``i``, cut to the words its
+  positions use (a sparse key costs what it holds, as a roaring
+  container does, not 8 KB per slice).
 """
 from __future__ import annotations
 
@@ -46,6 +48,8 @@ from repro.bsi.bitmap import (
     check_room,
     encode_rows,
     key_pieces,
+    payload_size,
+    row_kinds,
     write_containers,
 )
 
@@ -66,36 +70,49 @@ _CMP_OPS = ("lt", "le", "eq", "ge", "gt", "ne")
 Masks = dict[int, tuple[int, np.ndarray]]
 
 
-def _pack(slices: Sequence[RoaringBitmap], k: int) -> np.ndarray:
-    """Every slice's container at key ``k`` as one row of a new
-    ``(len(slices), 1024)`` uint64 matrix; zero where a slice lacks it."""
-    m = np.zeros((len(slices), C.BITSET_WORDS), dtype=np.uint64)
-    for row, s in zip(m, slices):
-        c = s._c.get(k)
-        if c is not None:
-            row[:] = c if C.is_bitset(c) else C.array_to_bitset(c)
-    return m
+#: One key's slices, packed: ``(lo, m)``, row ``i`` of the ``(nslices,
+#: hi - lo)`` uint64 matrix ``m`` holding words ``[lo, hi)`` of slice
+#: ``i``'s container at the key (a zero row where the slice lacks it);
+#: the first and the last column are non-zero.
+Packed = tuple[int, np.ndarray]
 
 
-def _pack_piece(lo: np.ndarray, values: np.ndarray, nbits: int) -> np.ndarray:
-    """The ``(nbits, 1024)`` slice matrix of one container key, from its
-    sorted, duplicate-free low 16 bits and their values: row ``i`` ORs
-    bit ``i`` of each value into its position's bit. Values are cut
-    into bit planes, ``(rows, len(lo))`` at a time with at most
-    :data:`_BUILD_WORDS` words, and each plane is OR-reduced over the
-    runs of positions that share a word."""
+def _pack(slices: Sequence[RoaringBitmap], k: int) -> Packed | None:
+    """The slices' containers at key ``k`` as a new packed matrix, or
+    ``None`` if no slice holds the key."""
+    held = [(i, C.span_words(s._c[k])) for i, s in enumerate(slices) if k in s._c]
+    if not held:
+        return None
+    lo = min(a for _, (a, _) in held)
+    hi = max(a + len(w) for _, (a, w) in held)
+    m = np.zeros((len(slices), hi - lo), dtype=np.uint64)
+    for i, (a, w) in held:
+        m[i, a - lo : a - lo + len(w)] = w
+    return lo, m
+
+
+def _pack_piece(lo: np.ndarray, values: np.ndarray, nbits: int) -> Packed:
+    """The packed ``nbits``-row slice matrix of one container key, from
+    its sorted, duplicate-free low 16 bits and their non-zero values:
+    it spans the words from the first position's to the last's, and
+    row ``i`` ORs bit ``i`` of each value into its position's bit.
+    Values are cut into bit planes, ``(rows, len(lo))`` at a time with
+    at most :data:`_BUILD_WORDS` words, and each plane is OR-reduced
+    over the runs of positions that share a word."""
     word = lo >> 6
     starts = np.flatnonzero(word[1:] != word[:-1]) + 1
     starts = np.concatenate([[0], starts])
     shift = (lo & 63).astype(np.uint64)
-    m = np.zeros((nbits, C.BITSET_WORDS), dtype=np.uint64)
+    w0 = int(word[0])
+    cols = word[starts] - np.uint16(w0)
+    m = np.zeros((nbits, int(word[-1]) + 1 - w0), dtype=np.uint64)
     step = max(1, _BUILD_WORDS // len(lo))
     for i in range(0, nbits, step):
         planes = values >> np.arange(i, min(i + step, nbits), dtype=np.uint64)[:, None]
         planes &= np.uint64(1)
         planes <<= shift
-        m[i : i + step, word[starts]] = np.bitwise_or.reduceat(planes, starts, axis=1)
-    return m
+        m[i : i + step, cols] = np.bitwise_or.reduceat(planes, starts, axis=1)
+    return w0, m
 
 
 def _as_uint(x, dtype, what: str) -> np.ndarray:
@@ -117,17 +134,31 @@ def _as_uint(x, dtype, what: str) -> np.ndarray:
 class BSI:
     """Bit-sliced index over uint32 positions with uint64 values."""
 
-    __slots__ = ("slices", "_ex", "_packed")
+    __slots__ = ("_slices", "_n", "_ex", "_packed")
 
     def __init__(self, slices: list[RoaringBitmap] | None = None):
         slices = list(slices) if slices else []
         while slices and not slices[-1]:
             slices.pop()
-        self.slices = slices
+        self._slices: list[RoaringBitmap] | None = slices
+        self._n = len(slices)
         self._ex: RoaringBitmap | None = None
-        # container key -> (nslices, 1024) slice matrix; set by from_arrays
-        # or densify
-        self._packed: dict[int, np.ndarray] | None = None
+        # container key -> packed slice matrix; set by from_arrays or
+        # densify
+        self._packed: dict[int, Packed] | None = None
+
+    @property
+    def slices(self) -> list[RoaringBitmap]:
+        """Slice ``i`` as a bitmap, for the bitmap-op paths. A BSI built
+        packed (:meth:`from_arrays`) has none until the first use; they
+        are then derived from its matrices once, as bitset containers.
+        The kernels, serialization and sizing never need them."""
+        if self._slices is None:
+            self._slices = [RoaringBitmap() for _ in range(self._n)]
+            for k, (lo, m) in self._packed.items():
+                for i in np.flatnonzero(m.any(axis=1)):
+                    self._slices[i]._c[k] = C.widen(lo, m[i])
+        return self._slices
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -143,16 +174,16 @@ class BSI:
         would silently wrap.
 
         Positions that arrive strictly increasing are taken as they
-        are; others are sorted once. Each container key's
-        ``(nslices, 1024)`` slice matrix is then written straight from
-        the values' bit planes: per run of positions sharing a 64-bit
-        word, one ``np.bitwise_or.reduceat`` ORs bit ``i`` of each
-        value, shifted to its position's bit, into row ``i``. A slice's
-        container at a key is a view of its row, so no array container
-        is built only to be widened; :meth:`serialize` reads the words,
-        so blobs do not depend on the form. Each key costs 8 KB per
-        slice however few positions it holds: positions are meant to be
-        dense, as the position encoding makes them."""
+        are; others are sorted once. Each container key's slice matrix,
+        spanning the words from its first position's to its last's, is
+        then written straight from the values' bit planes: per run of
+        positions sharing a 64-bit word, one ``np.bitwise_or.reduceat``
+        ORs bit ``i`` of each value, shifted to its position's bit,
+        into row ``i``. No slice bitmap is built (see :attr:`slices`);
+        :meth:`serialize` reads the words, so blobs do not depend on
+        the form. A key costs ``nslices`` words per word it spans: a
+        thinly held key is cheap, a key of scattered positions costs up
+        to 8 KB per slice."""
         positions = _as_uint(positions, np.uint32, "position")
         values = _as_uint(values, np.uint64, "value")
         if len(positions) != len(values):
@@ -166,18 +197,11 @@ class BSI:
             positions, values = positions[order], values[order]
             if (positions[1:] == positions[:-1]).any():
                 raise ValueError("duplicate positions in BSI input")
-        nbits = int(values.max()).bit_length()
+        out = cls()
+        out._n = int(values.max()).bit_length()
+        out._slices = None
         lo, spans = key_pieces(positions)
-        slices = [RoaringBitmap() for _ in range(nbits)]
-        packed = {}
-        for k, a, b in spans:
-            packed[k] = m = _pack_piece(lo[a:b], values[a:b], nbits)
-            held = int(np.bitwise_or.reduce(values[a:b]))
-            for i in range(nbits):
-                if held >> i & 1:
-                    slices[i]._c[k] = m[i]
-        out = cls(slices)
-        out._packed = packed
+        out._packed = {k: _pack_piece(lo[a:b], values[a:b], out._n) for k, a, b in spans}
         return out
 
     @classmethod
@@ -191,54 +215,63 @@ class BSI:
     def densify(self) -> "BSI":
         """Packed bitset compute form; semantics unchanged.
 
-        Per container key, the slices' bitsets become the rows of one
-        C-contiguous ``(nslices, 1024)`` uint64 matrix, row ``i``
-        holding slice ``i`` (a zero row where the slice lacks the key),
-        and each slice's container becomes a view of its row. A
-        bit-sliced index is a bit matrix (O'Neil & Quass 1997): the
-        filtered-sum kernel (:func:`grouped_sums`) and the constant
-        predicates (:meth:`const_masks`) cut a value's rows at a key
-        as one ``[:, lo:hi]`` slice of it, while every other bitmap op
-        still runs on the slices. Containers are immutable,
-        so the views never change; serialization reads the words, so
-        blobs are the same bytes as before packing."""
+        Per container key, the slices' containers become the rows of
+        one C-contiguous ``(nslices, hi - lo)`` uint64 matrix of the
+        words ``[lo, hi)`` from the first word some slice sets to the
+        last, row ``i`` holding slice ``i`` (a zero row where the slice
+        lacks the key). A bit-sliced index is a bit matrix (O'Neil &
+        Quass 1997): the filtered-sum kernel (:func:`grouped_sums`) and
+        the constant predicates (:meth:`const_masks`) read a value's
+        rows at a key as one slice of it, while every other bitmap op
+        runs on the slices, which keep the containers they were read
+        with; serialization reads the words, so blobs are the same
+        bytes as before packing."""
         if self._packed is None:
             keys = sorted(set().union(*(s._c.keys() for s in self.slices)))
             self._packed = {k: _pack(self.slices, k) for k in keys}
-            for k, m in self._packed.items():
-                for s, row in zip(self.slices, m):
-                    if k in s._c:
-                        s._c[k] = row
         return self
 
-    def _matrix(self, k: int) -> np.ndarray | None:
-        """The slice matrix at key ``k`` (packed form), or ``None`` if
-        no slice holds the key. An unpacked BSI widens its slices into
-        a fresh matrix, for the caller's use only."""
+    def _matrix(self, k: int) -> Packed | None:
+        """The packed slice matrix at key ``k``, or ``None`` if no slice
+        holds the key. An unpacked BSI packs its slices into a fresh
+        matrix, for the caller's use only."""
         if self._packed is not None:
             return self._packed.get(k)
-        if any(k in s._c for s in self.slices):
-            return _pack(self.slices, k)
-        return None
+        return _pack(self.slices, k)
 
     # -- inspection ---------------------------------------------------
     def existence(self) -> RoaringBitmap:
-        """Bitmap of positions holding a (non-zero) value; cached."""
+        """Bitmap of positions holding a (non-zero) value; cached. A
+        packed BSI ORs each key's matrix down its rows."""
         if self._ex is None:
-            ex = RoaringBitmap.empty()
-            for s in self.slices:
-                ex = ex | s
-            self._ex = ex
+            if self._packed is not None:
+                self._ex = RoaringBitmap({
+                    k: C.widen(lo, np.bitwise_or.reduce(m, axis=0))
+                    for k, (lo, m) in self._packed.items()
+                })
+            else:
+                ex = RoaringBitmap.empty()
+                for s in self.slices:
+                    ex = ex | s
+                self._ex = ex
         return self._ex
+
+    def held_bytes(self) -> tuple[int, int]:
+        """Bytes held in memory: ``(matrices, bitmaps)``, its packed
+        slice matrices and the containers of the slice and existence
+        bitmaps it holds."""
+        mats = sum(m.nbytes for _, m in self._packed.values()) if self._packed is not None else 0
+        bitmaps = [*(self._slices or ()), *(() if self._ex is None else (self._ex,))]
+        return mats, sum(bm.held_bytes() for bm in bitmaps)
 
     def slice_at(self, i: int) -> RoaringBitmap:
         return self.slices[i] if i < len(self.slices) else _EMPTY
 
     def nslices(self) -> int:
-        return len(self.slices)
+        return self._n
 
     def __bool__(self) -> bool:
-        return bool(self.slices)
+        return self._n > 0
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Decode to (sorted positions uint32, values uint64)."""
@@ -252,7 +285,7 @@ class BSI:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BSI):
             return NotImplemented
-        if len(self.slices) != len(other.slices):
+        if self._n != other._n:
             return False
         return all(a == b for a, b in zip(self.slices, other.slices))
 
@@ -260,7 +293,7 @@ class BSI:
         raise TypeError("BSI is not hashable")
 
     def __repr__(self) -> str:
-        return f"BSI(slices={len(self.slices)}, count={self.count()})"
+        return f"BSI(slices={self._n}, count={self.count()})"
 
     # -- arithmetic (§2.3) --------------------------------------------
     def add(self, other: "BSI") -> "BSI":
@@ -388,10 +421,11 @@ class BSI:
         container key, ``w[j]`` holds the answer for ``ks[j]``.
 
         The O'Neil–Quass bit-sliced comparison, run for every constant
-        at once: each key's slice matrix is cut to the words some row
-        sets, and one top-down pass over its rows keeps, per constant,
-        the rows equal to it so far and the rows already below it, with
-        the constants' bits as all-ones or all-zero words. Only ``lt``
+        at once over each key's packed slice matrix, whose words are
+        already cut to the key's span: one top-down pass over its rows
+        keeps, per constant, the rows equal to it so far and the rows
+        already below it, with the constants' bits as all-ones or
+        all-zero words. Only ``lt``
         and ``eq`` are computed: ``x <= k`` is ``x < k + 1``, and
         ``ge``, ``gt`` and ``ne`` are the complements of ``lt``, ``le``
         and ``eq`` within the existing rows. A constant of at most 0
@@ -400,7 +434,7 @@ class BSI:
         if op not in _CMP_OPS:
             raise ValueError(f"unknown comparison {op!r}; known: {_CMP_OPS}")
         ks = [int(k) + (op in ("le", "gt")) for k in ks]
-        n = len(self.slices)
+        n = self._n
         above = np.array([k >> n > 0 for k in ks], dtype=bool)  # every value is below k
         # the bits of each constant in [1, 2**n); no value equals any other
         nbytes = (n + 7) // 8
@@ -416,11 +450,8 @@ class BSI:
         keys = self._packed if self._packed is not None else self.existence()._c
         out = {}
         for key in keys:
-            m = self._matrix(key)
+            lo, m = self._matrix(key)
             ex = np.bitwise_or.reduce(m, axis=0)
-            used = np.flatnonzero(ex)
-            lo, hi = int(used[0]), int(used[-1]) + 1
-            m, ex = m[:, lo:hi], ex[lo:hi]
             eq = np.repeat(ex[None], len(ks), axis=0)
             lt = np.zeros_like(eq)
             t = np.empty_like(eq)
@@ -555,13 +586,13 @@ class BSI:
         if self._packed is None:
             blobs = [s.serialize() for s in self.slices]
         else:
-            enc: list[dict] = [{} for _ in self.slices]
-            for k, m in self._packed.items():
-                for e, row in zip(enc, encode_rows(m)):
+            enc: list[dict] = [{} for _ in range(self._n)]
+            for k, (lo, m) in self._packed.items():
+                for e, row in zip(enc, encode_rows(m, lo)):
                     if row is not None:
                         e[k] = row
             blobs = [write_containers(e) for e in enc]
-        parts = [_MAGIC, struct.pack("<B", len(self.slices))]
+        parts = [_MAGIC, struct.pack("<B", self._n)]
         for b in blobs:
             parts.append(struct.pack("<I", len(b)))
             parts.append(b)
@@ -587,8 +618,15 @@ class BSI:
         return cls(slices)
 
     def nbytes(self) -> int:
-        """Serialized size in bytes (storage accounting, Table 4)."""
-        return 4 + sum(4 + s.nbytes() for s in self.slices)
+        """Serialized size in bytes (storage accounting, Table 4). A
+        packed BSI sizes each key's rows from their counts
+        (:func:`~repro.bsi.bitmap.row_kinds`)."""
+        if self._packed is None:
+            return 4 + sum(4 + s.nbytes() for s in self.slices)
+        n = 4 + 11 * self._n  # per slice: its length, the bitmap's magic and count
+        for _, m in self._packed.values():
+            n += sum(7 + payload_size(*k) for k in row_kinds(m)[0] if k is not None)
+        return n
 
 
 # -- aggregate functions over BSIs (§4.1.3) ---------------------------
@@ -656,41 +694,49 @@ def grouped_sums(
     no total can reach 2**63 (up to 47 slices with one container key),
     else Python ints.
 
-    Per container key of the masks, each value's slice matrix
-    (:meth:`BSI.densify`) is cut to the masks' span, ``[:, lo:hi]``; row
-    ``i`` of a value weighs ``2**i``. Each group's rows are led by an
-    all-ones row, whose popcount under a filter is its count. A group's
-    filters are ANDed with its own rows only and popcounted in blocks
-    of at most :data:`_CHUNK_WORDS` words, in place, into buffers
-    reused across blocks; per key, one ``np.add.reduceat`` then weighs
-    the popcounts of every group's values. A value that was never
-    densified is widened into a matrix for this call only."""
+    Per container key of the masks, each value's packed slice matrix
+    (:meth:`BSI.densify`) is cut to its span's overlap with the masks'
+    span, ``[lo, hi)``, and laid into a block at its place there, the
+    rest of its rows zero; row ``i`` of a value weighs ``2**i``. Each
+    group's rows are led by an all-ones row, whose popcount under a
+    filter is its count. A group's filters are ANDed with its own rows
+    only and popcounted in blocks of at most :data:`_CHUNK_WORDS`
+    words, in place, into buffers reused across blocks; per key, one
+    ``np.add.reduceat`` then weighs the popcounts of every group's
+    values. A value that was never densified is packed into a matrix
+    for this call only."""
     # Reaches into the bitmaps' container dicts (same library;
     # containers are immutable and only the kernel's own buffers are
     # written).
     n_values = len(values[0]) if len(values) else 0
-    widest = max((len(x.slices) for vs in values for x in vs if x is not None), default=0)
+    widest = max((x.nslices() for vs in values for x in vs if x is not None), default=0)
     # a sum over n keys needs (n - 1).bit_length() bits more than one key's
     wide = widest + (len(masks) - 1).bit_length() > _INT64_SLICES
     sums = np.zeros((len(values), n_filters, n_values), dtype=object if wide else np.int64)
     counts = np.zeros((len(values), n_filters), dtype=np.int64)
     for key, (lo, w) in masks.items():
         span = w.shape[-1]
-        ones = np.full((1, span), ~np.uint64(0))
-        # pieces of rows: each group's ones row (value -1), then its values
+        hi = lo + span
+        ones = (0, np.full((1, span), ~np.uint64(0)))
+        # pieces of rows, (first column in the span, rows): each group's
+        # ones row (value -1), then its values
         pieces, piece_g, piece_v = [], [], []
         for g, vs in enumerate(values):
             pieces.append(ones)
             piece_g.append(g)
             piece_v.append(-1)
             for v, x in enumerate(vs):
-                m = x._matrix(key) if x is not None else None
-                if m is not None:
-                    pieces.append(m[:, lo : lo + span])
+                packed = x._matrix(key) if x is not None else None
+                if packed is None:
+                    continue
+                a, m = packed
+                c0, c1 = max(lo, a), min(hi, a + m.shape[1])
+                if c0 < c1:
+                    pieces.append((c0 - lo, m[:, c0 - a : c1 - a]))
                     piece_g.append(g)
                     piece_v.append(v)
         pops = _popcounts(pieces, piece_g, w)
-        nrows = np.array([len(p) for p in pieces])
+        nrows = np.array([len(p) for _, p in pieces])
         starts = np.cumsum(nrows) - nrows
         shifts = np.arange(nrows.sum()) - np.repeat(starts, nrows)
         piece_g, piece_v = np.array(piece_g), np.array(piece_v)
@@ -705,10 +751,13 @@ def grouped_sums(
     return sums, counts
 
 
-def _popcounts(pieces: list[np.ndarray], piece_g: list[int], w: np.ndarray) -> np.ndarray:
+def _popcounts(
+    pieces: list[tuple[int, np.ndarray]], piece_g: list[int], w: np.ndarray
+) -> np.ndarray:
     """``pops[f, r]``: the popcount of row ``r`` of the stacked
     ``pieces`` ANDed with filter ``f`` of its piece's group
-    (``w[piece_g[piece], f]``).
+    (``w[piece_g[piece], f]``). A piece ``(c, p)`` holds the span's
+    words ``[c, c + p.shape[1])``; its others are zero.
 
     Pieces are gathered into chunks of whole pieces of one group, at
     most ``per_block`` rows each (a piece wider than that is a chunk of
@@ -716,7 +765,7 @@ def _popcounts(pieces: list[np.ndarray], piece_g: list[int], w: np.ndarray) -> n
     n_f, span = w.shape[1], w.shape[2]
     per_block = _CHUNK_WORDS // span
     chunks, start, n = [], 0, 0  # (first piece, end piece, rows)
-    for i, p in enumerate(pieces):
+    for i, (_, p) in enumerate(pieces):
         if n and (n + len(p) > per_block or piece_g[i] != piece_g[start]):
             chunks.append((start, i, n))
             start, n = i, 0
@@ -730,7 +779,14 @@ def _popcounts(pieces: list[np.ndarray], piece_g: list[int], w: np.ndarray) -> n
     r0 = 0
     for (i0, i1, n), f_step in zip(chunks, f_steps):
         m = mbuf[: n * span].reshape(n, span)
-        np.concatenate(pieces[i0:i1], out=m)
+        r = 0
+        for c, p in pieces[i0:i1]:
+            rows, width = p.shape
+            if width < span:
+                m[r : r + rows, :c] = 0
+                m[r : r + rows, c + width :] = 0
+            m[r : r + rows, c : c + width] = p
+            r += rows
         fw = w[piece_g[i0]]
         for f0 in range(0, n_f, f_step):
             f1 = min(f0 + f_step, n_f)

@@ -84,6 +84,28 @@ def array_to_bitset(a: np.ndarray) -> np.ndarray:
     return np.packbits(bits, bitorder="little").view(np.uint64)
 
 
+def widen(lo: int, words: np.ndarray) -> np.ndarray:
+    """A bitset container whose words ``[lo, lo + len(words))`` are
+    ``words`` and whose other words are zero."""
+    c = np.zeros(BITSET_WORDS, dtype=np.uint64)
+    c[lo : lo + len(words)] = words
+    return c
+
+
+def span_words(c: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(lo, w)``: the words of a non-empty container from its first
+    set word ``lo`` to its last, ``w[j]`` being word ``lo + j`` (a view
+    of a bitset's words; built from an array's positions)."""
+    if is_bitset(c):
+        used = np.flatnonzero(c)
+        lo = int(used[0])
+        return lo, c[lo : int(used[-1]) + 1]
+    lo, hi = int(c[0]) >> 6, (int(c[-1]) >> 6) + 1
+    bits = np.zeros(64 * (hi - lo), dtype=np.uint8)
+    bits[c - np.uint16(64 * lo)] = 1
+    return lo, np.packbits(bits, bitorder="little").view(np.uint64)
+
+
 def bitset_to_array(b: np.ndarray) -> np.ndarray:
     """Convert a bitset container to a (sorted) array container."""
     # a bool view: numpy finds the nonzeros of a bool vector fastest
@@ -176,8 +198,9 @@ def run_count(c: np.ndarray) -> int:
 
 
 def row_counts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cardinality and run count of every row of a ``(rows, 1024)``
-    bitset matrix, each in one popcount pass over the whole matrix."""
+    """Cardinality and run count of every row of a bitset word matrix
+    (whole containers, or a span of their words with zero words before
+    it), each in one popcount pass over the whole matrix."""
     scratch = np.empty_like(m)
     return popcount_rows(m.copy(), scratch), popcount_rows(_run_starts(m), scratch)
 

@@ -33,12 +33,14 @@ stable sort per log on a packed (segment, metric, date) or (segment,
 strategy) key and one hash lookup from unit id to position; each group
 is then a slice of the sorted columns, in log order, built by
 :meth:`repro.bsi.bsi.BSI.from_arrays` straight into the packed compute
-form: per container key, one slice matrix whose rows the slices'
-containers view. A log that lists units by id gives each group in
-ascending position (positions follow engagement, which falls with the
-id), so no group is sorted again.
+form: per container key, one slice matrix of the words its positions
+use, and no slice bitmaps. A log that lists units by id gives each
+group in ascending position (positions follow engagement, which falls
+with the id), so no group is sorted again.
 Unit ids must lie in [0, 2**32): the normal store keys its bitmaps by
-them, so the load rejects any other id rather than wrap it.
+them and keeps them as uint32, so the load rejects any other id rather
+than wrap it. :meth:`AdhocEngine.footprint` reports the bytes the store
+holds per component.
 """
 from __future__ import annotations
 
@@ -65,24 +67,24 @@ class _Segment:
     # normal store
     metric_rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict
-    )  # (metric, date) -> (user_ids, values)
+    )  # (metric, date) -> (uint32 user ids, values)
     expose_day_bitmaps: dict[tuple[int, int], RoaringBitmap] = field(
         default_factory=dict
     )  # (sid, date) -> bitmap of user ids exposed by that day
 
 
-_NO_ROWS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+_NO_ROWS = (np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.int64))
 
 
 def _unit_ids(log: pd.DataFrame, what: str) -> np.ndarray:
-    """The frame's ``analysis_unit_id`` column; ValueError naming the
-    first id outside [0, 2**32), which the normal store's unit-id
-    bitmaps cannot hold."""
+    """The frame's ``analysis_unit_id`` column as uint32; ValueError
+    naming the first id outside [0, 2**32), which the normal store's
+    unit-id bitmaps cannot hold."""
     uid = log["analysis_unit_id"].to_numpy()
     if len(uid) and (uid.min() < 0 or uid.max() > 0xFFFFFFFF):
         bad = uid[(uid < 0) | (uid > 0xFFFFFFFF)][0]
         raise ValueError(f"{what} analysis_unit_id {bad} is outside [0, 2**32)")
-    return uid
+    return uid.astype(np.uint32)
 
 
 def _segment_ids(log: pd.DataFrame, n_segments: int, what: str) -> np.ndarray:
@@ -145,9 +147,9 @@ class AdhocEngine:
         within the group. Unit ids map to positions by one hash lookup
         into the encoded ids (ids need not be dense); a row whose unit
         is not in ``users_pdf`` raises ValueError, as does an id outside
-        [0, 2**32) in any of the three frames. BSIs are built packed
-        and the per-day exposed-user bitmaps densified: the compute
-        forms."""
+        [0, 2**32) in any of the three frames; the row store keeps the
+        ids as uint32. BSIs are built packed and the per-day
+        exposed-user bitmaps densified: the compute forms."""
         eng = cls(n_segments, workers)
         eng.dates = frozenset(int(d) for d in dates)
         u = users_pdf.copy()
@@ -155,8 +157,8 @@ class AdhocEngine:
         if "segment_id" not in u.columns:
             u["segment_id"] = H.segment_of(uid, n_segments)
         enc = encoding_pandas(u)
-        unit_index = pd.Index(enc["analysis_unit_id"])
-        unit_pos = enc["position"].to_numpy()
+        unit_index = pd.Index(enc["analysis_unit_id"].to_numpy().astype(np.uint32))
+        unit_pos = enc["position"].to_numpy().astype(np.uint32)
 
         def positions(uids: np.ndarray, log: str) -> np.ndarray:
             i = unit_index.get_indexer(uids)  # -1: not an encoded unit
@@ -212,6 +214,24 @@ class AdhocEngine:
                     uids[a:b][fed <= d]
                 ).densify()
         return eng
+
+    def footprint(self) -> dict[str, int]:
+        """Bytes the store holds in memory, by component (the node
+        cache's footprint is its capacity, §5.3): the BSIs' packed
+        slice matrices (``bsi_matrices``), the slice or existence
+        bitmaps the BSIs hold (``bsi_bitmaps``: none unless a
+        bitmap-op path asked for them, which no query does), and the
+        normal store's unit ids and values (``normal_rows``) and
+        per-day exposed-user bitmaps (``expose_bitmaps``)."""
+        out = dict.fromkeys(("bsi_matrices", "bsi_bitmaps", "normal_rows", "expose_bitmaps"), 0)
+        for s in self.segments:
+            for b in [*s.metric_bsi.values(), *(b for _, b in s.expose_bsi.values())]:
+                mats, bitmaps = b.held_bytes()
+                out["bsi_matrices"] += mats
+                out["bsi_bitmaps"] += bitmaps
+            out["normal_rows"] += sum(u.nbytes + v.nbytes for u, v in s.metric_rows.values())
+            out["expose_bitmaps"] += sum(bm.held_bytes() for bm in s.expose_day_bitmaps.values())
+        return out
 
     # -- queries ------------------------------------------------------
     def _fan_out(self, per_segment, strategy_ids, metric_ids, dates) -> pd.DataFrame:

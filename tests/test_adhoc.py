@@ -208,7 +208,8 @@ def test_from_logs_shuffled_logs_equal_sorted_logs(logs):
         pairs += [(sa.expose_bsi[k][1], sb.expose_bsi[k][1]) for k in sa.expose_bsi]
         for b, b2 in pairs:
             assert b._packed.keys() == b2._packed.keys()
-            assert all(np.array_equal(b._packed[j], b2._packed[j]) for j in b._packed)
+            for j, (lo, m) in b._packed.items():
+                assert b2._packed[j][0] == lo and np.array_equal(b2._packed[j][1], m)
         # row-format rows keep log order within a group: same rows
         assert sa.metric_rows.keys() == sb.metric_rows.keys()
         for k, (u, v) in sa.metric_rows.items():
@@ -365,3 +366,36 @@ def test_unloaded_date_raises(logs, method):
     eng = _load(*logs, dates=(1, 2))
     with pytest.raises(ValueError, match=r"dates \[5\] were not loaded \(loaded: \[1, 2\]\)"):
         getattr(eng, method)(strategy_ids=[11], metric_ids=[1], dates=[2, 5])
+
+
+# -- footprint: the store holds the words its positions use ---------------
+def test_footprint_is_span_words_plus_row_store(edge_logs):
+    # unit ids over several container keys; after both query methods
+    # have run, the store holds nslices x used words x 8 bytes of matrices
+    # per BSI and key, no slice or existence bitmaps, and 4 + 8 bytes
+    # per row of the loaded dates
+    users, metric, expose = edge_logs
+    eng = _load(users, metric, expose)
+    kw = dict(strategy_ids=ALL_STRATEGIES, metric_ids=[1, 2, 3], dates=[1, 3, 4])
+    eng.query_bsi(**kw)
+    eng.query_normal(**kw)
+    fp = eng.footprint()
+    words = 0
+    for s in eng.segments:
+        for b in [*s.metric_bsi.values(), *(b for _, b in s.expose_bsi.values())]:
+            assert b._slices is None and b._ex is None
+            pos, _ = BSI.deserialize(b.serialize()).to_arrays()
+            for k in np.unique(pos >> 16):
+                low = pos[pos >> 16 == k] & 0xFFFF
+                words += b.nslices() * (int(low[-1]) // 64 - int(low[0]) // 64 + 1)
+    loaded = metric[metric.date.isin([1, 3, 4])]
+    assert fp["bsi_matrices"] == 8 * words
+    assert fp["bsi_bitmaps"] == 0
+    assert fp["normal_rows"] == len(loaded) * (4 + loaded["value"].dtype.itemsize)
+    assert fp["expose_bitmaps"] == sum(
+        c.nbytes for s in eng.segments for bm in s.expose_day_bitmaps.values() for c in bm._c.values()
+    )
+    # a bitmap-op path derives the slices, and the footprint shows them
+    b = next(iter(eng.segments[0].metric_bsi.values()))
+    b.to_arrays()
+    assert eng.footprint()["bsi_bitmaps"] > 0

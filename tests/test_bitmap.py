@@ -76,6 +76,24 @@ def test_probes_split_once_for_many_bitmaps():
         assert mk(s).contains_array(probes).tolist() == [int(p) in s for p in probes_arr]
 
 
+@pytest.mark.parametrize("pos", [
+    [5, 0, 65535, 12],                                 # one key
+    [3, 65_536, 70_001, 0, 2**20 + 5, 2**32 - 1, 3],   # several keys
+    [],
+])
+def test_probes_of_uint32_split_as_the_wide_ids_do(pos):
+    # uint32 probes hold no position outside [0, 2**32), so they are
+    # split as they are: the same pieces as the int64 vector's
+    narrow, wide = Probes(np.array(pos, dtype=np.uint32)), Probes(np.array(pos, dtype=np.int64))
+    assert narrow.n == wide.n == len(pos)
+    assert len(narrow.pieces) == len(wide.pieces)
+    for (k, idx, lo), (k2, idx2, lo2) in zip(narrow.pieces, wide.pieces):
+        assert k == k2 and lo.dtype == np.uint16 and np.array_equal(lo, lo2)
+        assert np.array_equal(np.arange(len(pos))[idx], np.arange(len(pos))[idx2])
+    for s in SETS:
+        assert mk(s).contains_array(narrow).tolist() == [p in s for p in pos]
+
+
 def test_equality_and_copy():
     a = mk(SETS[4])
     b = a.copy()

@@ -21,21 +21,25 @@ def _same_positions(a: RoaringBitmap, b: RoaringBitmap) -> bool:
     return a._c.keys() == b._c.keys() and np.array_equal(a.to_array(), b.to_array())
 
 
-def _assert_packed(b: BSI) -> None:
-    """Every key has one C-contiguous ``(nslices, 1024)`` matrix; a
-    slice's container there is a view of its row, and a slice without
-    the key has a zero row."""
-    keys = set().union(*(s._c.keys() for s in b.slices))
-    assert b._packed is not None and set(b._packed) == keys
-    for k, m in b._packed.items():
-        assert m.shape == (len(b.slices), C.BITSET_WORDS) and m.flags.c_contiguous
-        for s, row in zip(b.slices, m):
+def _assert_packed(b: BSI, ref: list[RoaringBitmap]) -> None:
+    """A BSI fresh from ``from_arrays`` holds no slice bitmaps, and per
+    key of the reference slices ``ref`` one C-contiguous ``(nslices,
+    hi - lo)`` matrix of the words ``[lo, hi)``, minimal (its first and
+    last columns are non-zero): row ``i`` widened to 1024 words is
+    ``ref[i]``'s container there, and a slice without the key has a zero
+    row."""
+    assert b._slices is None
+    assert b._packed is not None and set(b._packed) == set().union(*(s._c.keys() for s in ref))
+    for k, (lo, m) in b._packed.items():
+        assert m.dtype == np.uint64 and m.flags.c_contiguous
+        assert m.shape[0] == len(ref) == b.nslices() and 0 <= lo < lo + m.shape[1] <= C.BITSET_WORDS
+        assert m[:, 0].any() and m[:, -1].any()
+        for s, row in zip(ref, m):
             c = s._c.get(k)
             if c is None:
                 assert not row.any()
             else:
-                assert C.is_bitset(c) and np.shares_memory(c, row)
-                assert np.array_equal(c, row)
+                assert np.array_equal(C.widen(lo, row), C.array_to_bitset(C.to_positions(c)))
 
 
 def _kinds(bm_blob: bytes) -> dict[int, int]:
@@ -89,19 +93,20 @@ def test_from_arrays_matches_slice_by_slice_reference(inp):
     pos, vals = inp
     got = BSI.from_arrays(np.array(pos, dtype=np.uint32), np.array(vals, dtype=np.uint64))
     ref = BSI(_reference(pos, vals))
+    _assert_packed(got, ref.slices)
     assert len(got.slices) == len(ref.slices)
     for g, r in zip(got.slices, ref.slices):
         assert _same_positions(g, r)
         assert g.serialize() == r.serialize()
     assert got.serialize() == ref.serialize()
-    _assert_packed(got)
 
 
 @pytest.mark.parametrize("n", [4095, 4096])
 def test_from_arrays_container_kind_at_threshold(n):
-    # in memory every container is a bitset row of its key's matrix; on
-    # disk the kind is chosen from the positions, as the slice-by-slice
-    # reference (array below 4096 per key, bitset from 4096) chooses it
+    # in memory every key is a packed matrix and a slice derived from it
+    # holds bitsets; on disk the kind is chosen from the positions, as
+    # the slice-by-slice reference (array below 4096 per key, bitset
+    # from 4096) chooses it
     pos = np.concatenate([np.arange(n), (1 << 16) + np.arange(0, 2 * n, 2), [5 << 16]])
     got = BSI.from_arrays(pos[::-1], np.ones(len(pos), dtype=np.uint64))
     ref = RoaringBitmap.from_array(pos)
@@ -109,7 +114,7 @@ def test_from_arrays_container_kind_at_threshold(n):
         0: np.uint16 if n < 4096 else np.uint64, 1: np.uint16 if n < 4096 else np.uint64,
         5: np.uint16,
     }
-    _assert_packed(got)
+    _assert_packed(got, [ref])
     assert {k: c.dtype for k, c in got.slices[0]._c.items()} == dict.fromkeys([0, 1, 5], np.uint64)
     blob = got.slices[0].serialize()
     assert blob == ref.serialize()
@@ -140,8 +145,8 @@ def test_from_arrays_sorted_or_shuffled_input(order):
         pos, vals = pos[perm], vals[perm]
     got = BSI.from_arrays(pos, vals)
     ref = BSI(_reference(pos.tolist(), vals.tolist()))
+    _assert_packed(got, ref.slices)
     assert got == ref and got.serialize() == ref.serialize()
-    _assert_packed(got)
     o = np.argsort(pos)
     keep = vals[o] != 0
     p, v = got.to_arrays()
@@ -167,9 +172,10 @@ def test_from_arrays_bounds_plane_blocks(monkeypatch):
     whole = BSI.from_arrays(pos, vals)
     monkeypatch.setattr(B, "_BUILD_WORDS", 3 * 1500)
     blocks = BSI.from_arrays(pos, vals)
+    _assert_packed(blocks, _reference(pos.tolist(), vals.tolist()))
     assert whole._packed.keys() == blocks._packed.keys()
-    assert all(np.array_equal(whole._packed[k], blocks._packed[k]) for k in whole._packed)
-    _assert_packed(blocks)
+    for k, (lo, m) in whole._packed.items():
+        assert blocks._packed[k][0] == lo and np.array_equal(blocks._packed[k][1], m)
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,3 +267,51 @@ def test_encode_rows_matches_each_container(rows, data):
 def test_run_count_at_word_edges(lows):
     a = np.array(lows, dtype=np.uint16)
     assert C.run_count(C.array_to_bitset(a)) == len(C.runs_from_positions(a))
+
+
+# -- span-trimmed matrices: a key costs the words its positions use ---------
+def test_sparse_keys_cost_what_they_hold():
+    # 100 positions on 100 keys with 64-bit values: one word per key, so
+    # 64 words of matrices per key, not 64 × 1024
+    rng = np.random.default_rng(5)
+    pos = (np.arange(100, dtype=np.uint32) << np.uint32(16)) + rng.integers(
+        0, 65536, 100
+    ).astype(np.uint32)
+    vals = rng.integers(1 << 63, U64_MAX, 100, dtype=np.uint64, endpoint=True)
+    got = BSI.from_arrays(pos, vals)
+    ref = _reference(pos.tolist(), vals.tolist())
+    _assert_packed(got, ref)
+    assert sum(m.nbytes for _, m in got._packed.values()) == 100 * 64 * 8 < 1 << 20
+    blob = got.serialize()
+    assert blob == BSI(ref).serialize() and got.nbytes() == len(blob)
+
+
+# low bits at and next to word and container edges, in the first two and
+# last two container keys: positions 0, 63, 64, 65535, 65536, 2**32 - 1
+EDGE_LOWS = st.one_of(
+    st.sampled_from([0, 1, 62, 63, 64, 65, 127, 128, 65471, 65472, 65534, 65535]),
+    st.integers(0, 65535),
+)
+EDGE_POSITIONS = st.lists(
+    st.tuples(st.sampled_from([0, 1, 65534, 65535]), EDGE_LOWS).map(lambda t: t[0] << 16 | t[1]),
+    min_size=1, max_size=40, unique=True,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(EDGE_POSITIONS, st.data())
+def test_from_arrays_at_word_and_key_edges(pos, data):
+    vals = data.draw(st.lists(
+        st.one_of(st.integers(0, 3), st.integers(1, U64_MAX)), min_size=len(pos), max_size=len(pos)
+    ))
+    assume(any(vals))
+    got = BSI.from_arrays(np.array(pos, dtype=np.uint32), np.array(vals, dtype=np.uint64))
+    ref = _reference(pos, vals)
+    # minimal spans, zero rows for slices without the key, equal words
+    _assert_packed(got, ref)
+    blob = got.serialize()
+    assert blob == BSI(ref).serialize() and got.nbytes() == len(blob)
+    back = BSI.deserialize(blob).densify()
+    assert back._packed.keys() == got._packed.keys()
+    for k, (lo, m) in got._packed.items():
+        assert back._packed[k][0] == lo and np.array_equal(back._packed[k][1], m)

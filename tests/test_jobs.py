@@ -62,7 +62,8 @@ def test_table8_job(capsys):
     out = j.run(n_users=4000, repeats=1)
     assert out["Normal"] > 0 and out["BSI"] > 0 and out["table8_build"] > 0
     text = capsys.readouterr().out
-    assert "Table 8" in text and "table8_build" in text
+    assert "Table 8" in text and "table8_build" in text and "store footprint" in text
+    assert out["footprint"]["bsi_matrices"] > 0 and out["footprint"]["bsi_bitmaps"] == 0
 
 
 def test_scorecard_demo_job(spark, capsys):

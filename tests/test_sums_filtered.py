@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bsi import bsi as B
+from repro.bsi import containers as C
 from repro.bsi.bitmap import RoaringBitmap
 from repro.bsi.bsi import BSI, sums_filtered
 from repro.core.scorecard import score_segment
@@ -160,39 +161,47 @@ def test_packed_equals_canonical_equals_python(columns, filter_pos, chunk_words)
 
 
 def test_densify_packs_slices_into_one_matrix_per_key():
-    # key 0 holds 3-bit values, key 2 only value 1: slices 1 and 2 lack
-    # key 2, so their rows there are zero
+    # key 0 holds 3-bit values at the even positions below 9000 (words
+    # 0-140), key 2 only value 1 at positions 0-9 (word 0): slices 1 and
+    # 2 lack key 2, so their rows there are zero
     pos = np.r_[np.arange(0, 9000, 2), (2 << 16) + np.arange(10)]
     vals = np.r_[np.full(4500, 7), np.ones(10)].astype(np.uint64)
     blob = BSI.from_arrays(pos, vals).serialize()
     b = BSI.deserialize(blob)
+    read = [dict(s._c) for s in b.slices]
     assert b._packed is None
     b.densify()
     assert sorted(b._packed) == [0, 2]
-    for k, m in b._packed.items():
-        assert m.shape == (3, 1024) and m.flags.c_contiguous
+    assert [(lo, m.shape) for lo, m in b._packed.values()] == [(0, (3, 141)), (0, (3, 1))]
+    for k, (lo, m) in b._packed.items():
+        assert m.flags.c_contiguous and m[:, 0].any() and m[:, -1].any()
         for i, s in enumerate(b.slices):
             if k in s._c:
-                assert np.shares_memory(s._c[k], m[i])
+                want = C.array_to_bitset(C.to_positions(s._c[k]))
+                assert np.array_equal(C.widen(lo, m[i]), want)
             else:
                 assert not m[i].any()
-    assert not b._packed[2][1:].any()
+    assert not b._packed[2][1][1:].any()
+    # the decoded slices keep the containers they were read with
+    assert [s._c.keys() for s in b.slices] == [r.keys() for r in read]
+    assert all(s._c[k] is r[k] for s, r in zip(b.slices, read) for k in r)
     assert b.serialize() == blob
     assert BSI.deserialize(blob).densify() == b
 
 
 def test_serialize_and_nbytes_keep_packed_views():
-    """Sizing and writing a densified BSI read its containers in place:
-    every slice, sparse key 2 included, stays a view of its packed row."""
+    """Sizing and writing a packed BSI read its matrices in place: no
+    slice bitmap is derived, and the bytes equal the slice form's."""
     pos = np.r_[np.arange(0, 9000, 2), (2 << 16) + np.arange(10)]
     vals = np.r_[np.full(4500, 7), np.ones(10)].astype(np.uint64)
-    blob = BSI.from_arrays(pos, vals).serialize()
-    b = BSI.from_arrays(pos, vals).densify()
-    assert b.nbytes() == len(blob)
-    assert b.serialize() == blob
-    for i, s in enumerate(b.slices):
-        for k, c in s._c.items():
-            assert np.shares_memory(c, b._packed[k][i])
+    b = BSI.from_arrays(pos, vals)
+    assert b.densify() is b and b._slices is None
+    n, blob = b.nbytes(), b.serialize()
+    assert b._slices is None
+    sliced = BSI(b.slices)  # derived once from the matrices
+    assert sliced._packed is None
+    assert blob == sliced.serialize() and n == sliced.nbytes() == len(blob)
+    assert BSI.deserialize(blob) == b
 
 
 def test_counts_of_empty_and_array_filters():
