@@ -56,11 +56,23 @@ def user_universe(n_users: int) -> pd.DataFrame:
     )
 
 
+@lru_cache(maxsize=1)
+def _participation_probs(n_users: int, participation: float) -> np.ndarray:
+    """Per-user daily participation probability of a metric. Every day
+    of the metric samples against it, and :func:`metric_log_pandas`
+    draws a metric's days one after another, so it is computed once
+    for those days and returned read-only; the one cache entry holds
+    one universe-sized array."""
+    p_u = np.clip(participation * engagement_weights(n_users), 0.0, 1.0)
+    p_u.flags.writeable = False
+    return p_u
+
+
 def _participating_users(
     g: np.random.Generator, n_users: int, participation: float
 ) -> np.ndarray:
     """Engagement-skewed daily participant set (1-based unit ids)."""
-    p_u = np.clip(participation * engagement_weights(n_users), 0.0, 1.0)
+    p_u = _participation_probs(n_users, participation)
     return np.flatnonzero(g.random(n_users) < p_u).astype(np.int64) + 1
 
 

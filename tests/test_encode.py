@@ -141,3 +141,75 @@ def test_conversion_rejects_negative_values(world, spark):
         encode.log_to_bsi(
             spark.createDataFrame(bad), world.encoding, key="metric_id"
         ).collect()
+
+
+def _convert(kind, spark, world, pdf):
+    sdf = spark.createDataFrame(pdf)
+    if kind == "expose":
+        return encode.expose_log_to_bsi(sdf, world.encoding, n_buckets=N_SEGMENTS)
+    key = "metric_id" if kind == "metric" else "dimension_name"
+    return encode.log_to_bsi(sdf, world.encoding, key=key)
+
+
+def _log(kind, world):
+    return {"metric": world.metric, "dimension": world.dim, "expose": world.expose}[kind]
+
+
+@pytest.mark.parametrize("fault", ["unknown unit", "other segment"])
+@pytest.mark.parametrize("kind", ["metric", "dimension", "expose"])
+def test_conversion_rejects_rows_outside_the_encoding(world, spark, kind, fault):
+    """A row whose unit is not encoded, or is encoded in another segment
+    than its ``segment_id``, fails the conversion and is named; the
+    conversion never drops it."""
+    bad = _log(kind, world).head(300).copy()
+    row = bad.index[7]
+    if fault == "unknown unit":
+        bad.loc[row, "analysis_unit_id"] = N_USERS + 5
+    else:
+        bad.loc[row, "segment_id"] = (bad.loc[row, "segment_id"] + 1) % N_SEGMENTS
+    uid = bad.loc[row, "analysis_unit_id"]
+    msg = rf"{kind} log row with analysis_unit_id {uid} is not encoded"
+    with pytest.raises(Exception, match=msg):
+        _convert(kind, spark, world, bad).collect()
+
+
+@pytest.mark.parametrize("kind", ["metric", "dimension", "expose"])
+def test_segment_without_log_rows_emits_no_row(world, spark, kind):
+    """Segment 0 has encoded users but no rows in the log: it gets no
+    BSI row, and every other segment converts as before."""
+    log = _log(kind, world)
+    log = log[log.segment_id != 0]
+    got = _convert(kind, spark, world, log).toPandas()
+    keys = {"metric": ["date", "metric_id"], "dimension": ["date", "dimension_name"],
+            "expose": ["strategy_id"]}[kind]
+    assert 0 not in set(got.segment_id)
+    assert len(got) == len(log.groupby(["segment_id", *keys]))
+
+
+def test_dimension_conversion_keeps_name_as_string(world):
+    assert world.dim_bsi.schema["dimension_name"].dataType.simpleString() == "string"
+    names = world.dim_bsi.toPandas()["dimension_name"]
+    assert set(names) == {"client-type", "client-version"}
+    assert all(isinstance(n, str) for n in names)
+
+
+def test_conversion_plans_have_no_join(world, capsys):
+    """Each conversion is one cogroup of the log with the encoding by
+    segment: neither plan joins, and neither embeds the input rows in
+    the plan as a local relation."""
+    for df in (world.metric_bsi, world.dim_bsi, world.expose_bsi):
+        df.explain(True)
+        plan = capsys.readouterr().out
+        assert "FlatMapCoGroupsInPandas" in plan
+        assert "SortMergeJoin" not in plan and "BroadcastHashJoin" not in plan
+        assert "LocalRelation" not in plan and "LocalTableScan" not in plan
+
+
+def test_conversion_restores_local_relation_threshold(world, spark):
+    key = encode._LOCAL_RELATION_THRESHOLD
+    before = spark.conf.get(key)
+    encode.full_bsi_conversion(
+        spark, users_pdf=world.users.head(50), expose_pdf=world.expose.head(20),
+        n_segments=N_SEGMENTS,
+    )
+    assert spark.conf.get(key) == before

@@ -52,8 +52,9 @@ def test_table7_job(spark, capsys):
     import table7_precompute as j
 
     out = j.run(spark, n_users=4000, repeats=1)
-    assert out["Normal"] > 0 and out["BSI"] > 0
-    assert "Table 7" in capsys.readouterr().out
+    assert out["Normal"] > 0 and out["BSI"] > 0 and out["Convert"] > 0
+    text = capsys.readouterr().out
+    assert "Table 7" in text and "Convert" in text
 
 
 def test_table8_job(capsys):
