@@ -3,13 +3,13 @@
 Layering (bottom-up):
 
 - :mod:`repro.bsi.containers` — roaring containers: sorted uint16
-  array containers and 1024-word uint64 bitset containers, with the
-  four bitmap ops dispatched per container pair.
+  array containers and 1024-word uint64 bitset containers, with AND
+  dispatched per container pair.
 - :mod:`repro.bsi.bitmap` — :class:`RoaringBitmap`, a dict of
   containers keyed by the high 16 bits of each 32-bit position.
-- :mod:`repro.bsi.bsi` — :class:`BSI`, an ordered list of bit-slice
-  bitmaps with the paper's arithmetic (§2.3), comparisons (Algs 1–3),
-  aggregates (§4.1.3) and constant predicates.
+- :mod:`repro.bsi.bsi` — :class:`BSI`, per container key one packed
+  bit matrix of its slices, with sumBSI (§2.3), constant predicates
+  and filtered sums (§4.1.3).
 
 Spark ships BSIs as serialized blobs in BinaryType columns. The
 scorecard, bucketed scorecard, pre-experiment, deep-dive and ad-hoc

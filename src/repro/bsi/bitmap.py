@@ -2,9 +2,9 @@
 
 A two-level structure exactly as in the roaring paper: a sorted map
 from the shared high 16 bits of positions to a container holding the
-low 16 bits (see :mod:`repro.bsi.containers`). The four bitmap ops
-(AND, OR, XOR, ANDNOT) are dispatched per container pair; containers
-are renormalised after every op so the structure stays compressed.
+low 16 bits (see :mod:`repro.bsi.containers`). AND, the one bitmap op
+the pipelines run (a filter ANDed onto another), is dispatched per
+container pair.
 
 Serialization is a compact custom format (`serialize`/`deserialize`),
 stable across processes — used to ship bitmaps through Spark
@@ -174,9 +174,6 @@ class RoaringBitmap:
             if len(lo)
         })
 
-    def copy(self) -> "RoaringBitmap":
-        return RoaringBitmap({k: v.copy() for k, v in self._c.items()})
-
     # -- inspection ---------------------------------------------------
     def cardinality(self) -> int:
         return sum(C.card(c) for c in self._c.values())
@@ -223,10 +220,9 @@ class RoaringBitmap:
     def __repr__(self) -> str:
         return f"RoaringBitmap(card={self.cardinality()}, containers={len(self._c)})"
 
-    # -- the four bitmap ops ------------------------------------------
-    # NOTE: containers are immutable by convention; op results may
-    # alias operand containers, which is why the empty-operand paths
-    # can return the other bitmap's container dict unchanged.
+    # -- AND ----------------------------------------------------------
+    # NOTE: containers are immutable by convention; a result may alias
+    # an operand's containers.
     def __and__(self, other: "RoaringBitmap") -> "RoaringBitmap":
         if not self._c or not other._c:
             return RoaringBitmap()
@@ -234,42 +230,6 @@ class RoaringBitmap:
         small, big = (self, other) if len(self._c) <= len(other._c) else (other, self)
         for k, c in small._c.items():
             r = C.c_and(c, big._c.get(k))
-            if r is not None:
-                out[k] = r
-        return RoaringBitmap(out)
-
-    def __or__(self, other: "RoaringBitmap") -> "RoaringBitmap":
-        if not self._c:
-            return RoaringBitmap(dict(other._c))
-        if not other._c:
-            return RoaringBitmap(dict(self._c))
-        out: dict[int, np.ndarray] = {}
-        for k in self._c.keys() | other._c.keys():
-            r = C.c_or(self._c.get(k), other._c.get(k))
-            if r is not None:
-                out[k] = r
-        return RoaringBitmap(out)
-
-    def __xor__(self, other: "RoaringBitmap") -> "RoaringBitmap":
-        if not self._c:
-            return RoaringBitmap(dict(other._c))
-        if not other._c:
-            return RoaringBitmap(dict(self._c))
-        out: dict[int, np.ndarray] = {}
-        for k in self._c.keys() | other._c.keys():
-            r = C.c_xor(self._c.get(k), other._c.get(k))
-            if r is not None:
-                out[k] = r
-        return RoaringBitmap(out)
-
-    def andnot(self, other: "RoaringBitmap") -> "RoaringBitmap":
-        if not self._c:
-            return RoaringBitmap()
-        if not other._c:
-            return RoaringBitmap(dict(self._c))
-        out: dict[int, np.ndarray] = {}
-        for k, c in self._c.items():
-            r = C.c_andnot(c, other._c.get(k))
             if r is not None:
                 out[k] = r
         return RoaringBitmap(out)

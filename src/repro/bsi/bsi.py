@@ -1,37 +1,38 @@
 """Bit-sliced index arithmetic (§2.2–§2.3, §4.1 of the paper).
 
 A :class:`BSI` represents a non-negative integer column ``C`` over
-encoded positions: ``C[j] = sum_i slices[i][j] * 2**i``. Zero values
+encoded positions: ``C[j] = sum_i slice_i[j] * 2**i``. Zero values
 are *treated as non-existing* (the paper's convention): a position
-carries a value iff it is set in at least one slice, and the
-existence bitmap is the OR of all slices.
+carries a value iff it is set in at least one slice.
 
-Implemented operations:
+A bit-sliced index is a bit matrix (O'Neil & Quass 1997), and that is
+the one form a :class:`BSI` has: per container key (the high 16 bits
+of a position), one uint64 matrix whose row ``i`` holds the words of
+slice ``i`` there, cut to the words its positions use and to the
+slices its values use (a sparse key costs what it holds, as a roaring
+container does). Slice bitmaps are derived from it on demand
+(:attr:`BSI.slices`), never stored.
 
-- arithmetic: ``add`` (ripple carry over bitmap ops), ``subtract``
-  (borrow), ``multiply_binary`` (linear, the only multiplication the
-  paper needs hot), ``multiply`` (general shift-and-add, O(s1*s2)),
-  ``add_const``;
-- BSI-vs-BSI comparisons per the paper's Algorithms 1–3 plus the
-  derived ``le``/``gt``/``ge`` — all return a binary bitmap restricted
-  to rows where both operands are non-zero;
-- BSI-vs-constant predicates — the O'Neil–Quass bit-sliced predicate
-  evaluation, for a vector of constants in one pass over the packed
-  slice matrices (:meth:`BSI.const_masks`; ``lt_const`` .. ``ne_const``
-  are its one-constant case) — and ``range_search``;
-- in-BSI aggregates: ``sum``, ``count``, ``mean``, ``min``, ``max``,
-  ``rank_value`` / ``quantile`` / ``median``;
-- aggregates over BSIs (§4.1.3): :func:`sum_bsi`, :func:`max_bsi`,
-  :func:`mul_bsi`, :func:`distinct_pos`;
-- the grouped filtered sum :func:`grouped_sums` (each group of
-  filters × its own value BSIs, one popcount pass per cache-sized
-  block, the filters' own counts included), which the scorecard
-  kernel runs on, and its one-group form over bitmaps,
-  :func:`sums_filtered`, which ``sum`` and ``sum_filtered`` run on;
-- the packed compute form (:meth:`BSI.densify`): per container key,
-  one bit matrix whose row ``i`` is slice ``i``, cut to the words its
-  positions use (a sparse key costs what it holds, as a roaring
-  container does, not 8 KB per slice).
+Implemented operations, each on the matrices:
+
+- ``add`` (sumBSI, §2.3; :func:`sum_bsi` over many), a ripple carry
+  per container key;
+- BSI-vs-constant predicates, the O'Neil–Quass bit-sliced comparison
+  for a vector of constants in one pass (:meth:`BSI.const_masks`;
+  ``compare_const`` as bitmaps, ``le_const``/``eq_const`` its
+  one-constant case);
+- ``sum``, ``count`` and ``sum_filtered``, and the grouped filtered sum
+  :func:`grouped_sums` (each group of filters × its own value BSIs,
+  one popcount pass per cache-sized block, the filters' own counts
+  included) that the scorecard and ad-hoc kernels run on, with its
+  one-group form over bitmaps, :func:`sums_filtered`;
+- building from arrays, decoding to arrays, and the blob format.
+
+Left out: the paper also names BSI×BSI comparisons (Algorithms 1–3),
+subtraction, general multiplication, quantiles, maxBSI, mulBSI and
+distinctPos. No measured workload (Tables 4–8) needs them, and deep
+dive ANDs the bitmaps of constant predicates; one that a later
+workload needs comes back with its caller.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ import numpy as np
 
 from repro.bsi import containers as C
 from repro.bsi.bitmap import (
-    Probes,
     RoaringBitmap,
     check_end,
     check_room,
@@ -54,7 +54,6 @@ from repro.bsi.bitmap import (
 )
 
 _MAGIC = b"BS1"
-_EMPTY = RoaringBitmap.empty()
 
 #: Words of bit planes :meth:`BSI.from_arrays` holds at once (8 MB).
 _BUILD_WORDS = 1 << 20
@@ -70,35 +69,35 @@ _CMP_OPS = ("lt", "le", "eq", "ge", "gt", "ne")
 Masks = dict[int, tuple[int, np.ndarray]]
 
 
-#: One key's slices, packed: ``(lo, m)``, row ``i`` of the ``(nslices,
-#: hi - lo)`` uint64 matrix ``m`` holding words ``[lo, hi)`` of slice
-#: ``i``'s container at the key (a zero row where the slice lacks it);
-#: the first and the last column are non-zero.
+#: One key's slices, packed: ``(lo, m)``, row ``i`` of the C-contiguous
+#: ``(rows, hi - lo)`` uint64 matrix ``m`` holding words ``[lo, hi)`` of
+#: slice ``i``'s container at the key (a zero row where the slice lacks
+#: it). The first column, the last column and the last row are
+#: non-zero: a key's slices above ``rows`` lack it.
 Packed = tuple[int, np.ndarray]
 
 
-def _pack(slices: Sequence[RoaringBitmap], k: int) -> Packed | None:
-    """The slices' containers at key ``k`` as a new packed matrix, or
-    ``None`` if no slice holds the key."""
+def _pack(slices: Sequence[RoaringBitmap], k: int) -> Packed:
+    """The slices' containers at key ``k``, which some slice holds, as
+    a new packed matrix."""
     held = [(i, C.span_words(s._c[k])) for i, s in enumerate(slices) if k in s._c]
-    if not held:
-        return None
     lo = min(a for _, (a, _) in held)
     hi = max(a + len(w) for _, (a, w) in held)
-    m = np.zeros((len(slices), hi - lo), dtype=np.uint64)
+    m = np.zeros((held[-1][0] + 1, hi - lo), dtype=np.uint64)
     for i, (a, w) in held:
         m[i, a - lo : a - lo + len(w)] = w
     return lo, m
 
 
-def _pack_piece(lo: np.ndarray, values: np.ndarray, nbits: int) -> Packed:
-    """The packed ``nbits``-row slice matrix of one container key, from
-    its sorted, duplicate-free low 16 bits and their non-zero values:
-    it spans the words from the first position's to the last's, and
-    row ``i`` ORs bit ``i`` of each value into its position's bit.
-    Values are cut into bit planes, ``(rows, len(lo))`` at a time with
-    at most :data:`_BUILD_WORDS` words, and each plane is OR-reduced
-    over the runs of positions that share a word."""
+def _pack_piece(lo: np.ndarray, values: np.ndarray) -> Packed:
+    """The packed slice matrix of one container key, from its sorted,
+    duplicate-free low 16 bits and their non-zero values: it spans the
+    words from the first position's to the last's, and row ``i`` ORs
+    bit ``i`` of each value into its position's bit. Values are cut
+    into bit planes, ``(rows, len(lo))`` at a time with at most
+    :data:`_BUILD_WORDS` words, and each plane is OR-reduced over the
+    runs of positions that share a word."""
+    nbits = int(values.max()).bit_length()
     word = lo >> 6
     starts = np.flatnonzero(word[1:] != word[:-1]) + 1
     starts = np.concatenate([[0], starts])
@@ -113,6 +112,29 @@ def _pack_piece(lo: np.ndarray, values: np.ndarray, nbits: int) -> Packed:
         planes <<= shift
         m[i : i + step, cols] = np.bitwise_or.reduceat(planes, starts, axis=1)
     return w0, m
+
+
+def _add_packed(x: Packed, y: Packed) -> Packed:
+    """The packed sum of two matrices of one key: a ripple carry over
+    their words aligned on the union of their spans, row by row, the
+    carry left after the top rows becoming one more row if any bit of
+    it is set."""
+    (ax, mx), (ay, my) = x, y
+    lo = min(ax, ay)
+    span = max(ax + mx.shape[1], ay + my.shape[1]) - lo
+    rows = max(len(mx), len(my))
+    s = np.zeros((rows + 1, span), dtype=np.uint64)  # x, then the sum
+    s[: len(mx), ax - lo : ax - lo + mx.shape[1]] = mx
+    b = np.zeros((rows, span), dtype=np.uint64)  # y, then x & y
+    b[: len(my), ay - lo : ay - lo + my.shape[1]] = my
+    carry, t = s[rows], np.empty(span, dtype=np.uint64)
+    for i in range(rows):
+        np.bitwise_xor(s[i], b[i], out=t)
+        b[i] &= s[i]
+        np.bitwise_xor(t, carry, out=s[i])
+        carry &= t  # carry' = (x & y) | (carry & (x ^ y))
+        carry |= b[i]
+    return lo, s if carry.any() else s[:rows]
 
 
 def _as_uint(x, dtype, what: str) -> np.ndarray:
@@ -132,33 +154,25 @@ def _as_uint(x, dtype, what: str) -> np.ndarray:
 
 
 class BSI:
-    """Bit-sliced index over uint32 positions with uint64 values."""
+    """Bit-sliced index over uint32 positions with non-negative integer
+    values, held as packed slice matrices (see :data:`Packed`)."""
 
-    __slots__ = ("_slices", "_n", "_ex", "_packed")
+    __slots__ = ("_n", "_packed")
 
-    def __init__(self, slices: list[RoaringBitmap] | None = None):
-        slices = list(slices) if slices else []
-        while slices and not slices[-1]:
-            slices.pop()
-        self._slices: list[RoaringBitmap] | None = slices
-        self._n = len(slices)
-        self._ex: RoaringBitmap | None = None
-        # container key -> packed slice matrix; set by from_arrays or
-        # densify
-        self._packed: dict[int, Packed] | None = None
+    def __init__(self, packed: dict[int, Packed] | None = None):
+        # container key -> packed slice matrix, in increasing key order
+        self._packed: dict[int, Packed] = packed or {}
+        self._n = max((len(m) for _, m in self._packed.values()), default=0)
 
     @property
     def slices(self) -> list[RoaringBitmap]:
-        """Slice ``i`` as a bitmap, for the bitmap-op paths. A BSI built
-        packed (:meth:`from_arrays`) has none until the first use; they
-        are then derived from its matrices once, as bitset containers.
-        The kernels, serialization and sizing never need them."""
-        if self._slices is None:
-            self._slices = [RoaringBitmap() for _ in range(self._n)]
-            for k, (lo, m) in self._packed.items():
-                for i in np.flatnonzero(m.any(axis=1)):
-                    self._slices[i]._c[k] = C.widen(lo, m[i])
-        return self._slices
+        """Slice ``i`` as a bitmap of bitset containers, derived from the
+        matrices on each use and not kept."""
+        out = [RoaringBitmap() for _ in range(self._n)]
+        for k, (lo, m) in self._packed.items():
+            for i in np.flatnonzero(m.any(axis=1)):
+                out[i]._c[k] = C.widen(lo, m[i])
+        return out
 
     # -- construction -------------------------------------------------
     @classmethod
@@ -167,105 +181,50 @@ class BSI:
 
     @classmethod
     def from_arrays(cls, positions, values) -> "BSI":
-        """Build from parallel position/value vectors, in packed compute
-        form (:meth:`densify`). Zero values are dropped (non-existing);
-        duplicate positions are an error, and so are positions outside
-        [0, 2**32) and negative or non-integral values, which a cast
-        would silently wrap.
+        """Build from parallel position/value vectors. Zero values are
+        dropped (non-existing); duplicate positions are an error, and
+        so are positions outside [0, 2**32) and negative or
+        non-integral values, which a cast would silently wrap.
 
         Positions that arrive strictly increasing are taken as they
         are; others are sorted once. Each container key's slice matrix,
-        spanning the words from its first position's to its last's, is
-        then written straight from the values' bit planes: per run of
-        positions sharing a 64-bit word, one ``np.bitwise_or.reduceat``
-        ORs bit ``i`` of each value, shifted to its position's bit,
-        into row ``i``. No slice bitmap is built (see :attr:`slices`);
-        :meth:`serialize` reads the words, so blobs do not depend on
-        the form. A key costs ``nslices`` words per word it spans: a
-        thinly held key is cheap, a key of scattered positions costs up
-        to 8 KB per slice."""
+        spanning the words from its first position's to its last's and
+        the slices of its largest value, is then written straight from
+        the values' bit planes: per run of positions sharing a 64-bit
+        word, one ``np.bitwise_or.reduceat`` ORs bit ``i`` of each
+        value, shifted to its position's bit, into row ``i``. A key
+        costs a word per row per word it spans: a thinly held key is
+        cheap, a key of scattered positions costs up to 8 KB per
+        slice."""
         positions = _as_uint(positions, np.uint32, "position")
         values = _as_uint(values, np.uint64, "value")
         if len(positions) != len(values):
             raise ValueError("positions and values must align")
         nz = values != 0
         positions, values = positions[nz], values[nz]
-        if len(values) == 0:
-            return cls()
         if not (positions[1:] > positions[:-1]).all():
             order = np.argsort(positions)
             positions, values = positions[order], values[order]
             if (positions[1:] == positions[:-1]).any():
                 raise ValueError("duplicate positions in BSI input")
-        out = cls()
-        out._n = int(values.max()).bit_length()
-        out._slices = None
         lo, spans = key_pieces(positions)
-        out._packed = {k: _pack_piece(lo[a:b], values[a:b], out._n) for k, a, b in spans}
-        return out
-
-    @classmethod
-    def from_bitmap(cls, bm: RoaringBitmap) -> "BSI":
-        """Binary-valued BSI (value 1 at every set position)."""
-        return cls([bm.copy()]) if bm else cls()
-
-    def copy(self) -> "BSI":
-        return BSI([s.copy() for s in self.slices])
+        return cls({k: _pack_piece(lo[a:b], values[a:b]) for k, a, b in spans})
 
     def densify(self) -> "BSI":
-        """Packed bitset compute form; semantics unchanged.
-
-        Per container key, the slices' containers become the rows of
-        one C-contiguous ``(nslices, hi - lo)`` uint64 matrix of the
-        words ``[lo, hi)`` from the first word some slice sets to the
-        last, row ``i`` holding slice ``i`` (a zero row where the slice
-        lacks the key). A bit-sliced index is a bit matrix (O'Neil &
-        Quass 1997): the filtered-sum kernel (:func:`grouped_sums`) and
-        the constant predicates (:meth:`const_masks`) read a value's
-        rows at a key as one slice of it, while every other bitmap op
-        runs on the slices, which keep the containers they were read
-        with; serialization reads the words, so blobs are the same
-        bytes as before packing."""
-        if self._packed is None:
-            keys = sorted(set().union(*(s._c.keys() for s in self.slices)))
-            self._packed = {k: _pack(self.slices, k) for k in keys}
+        """The BSI itself: the packed form is its only form."""
         return self
-
-    def _matrix(self, k: int) -> Packed | None:
-        """The packed slice matrix at key ``k``, or ``None`` if no slice
-        holds the key. An unpacked BSI packs its slices into a fresh
-        matrix, for the caller's use only."""
-        if self._packed is not None:
-            return self._packed.get(k)
-        return _pack(self.slices, k)
 
     # -- inspection ---------------------------------------------------
     def existence(self) -> RoaringBitmap:
-        """Bitmap of positions holding a (non-zero) value; cached. A
-        packed BSI ORs each key's matrix down its rows."""
-        if self._ex is None:
-            if self._packed is not None:
-                self._ex = RoaringBitmap({
-                    k: C.widen(lo, np.bitwise_or.reduce(m, axis=0))
-                    for k, (lo, m) in self._packed.items()
-                })
-            else:
-                ex = RoaringBitmap.empty()
-                for s in self.slices:
-                    ex = ex | s
-                self._ex = ex
-        return self._ex
+        """Bitmap of positions holding a (non-zero) value: each key's
+        matrix ORed down its rows."""
+        return RoaringBitmap({
+            k: C.widen(lo, np.bitwise_or.reduce(m, axis=0)) for k, (lo, m) in self._packed.items()
+        })
 
-    def held_bytes(self) -> tuple[int, int]:
-        """Bytes held in memory: ``(matrices, bitmaps)``, its packed
-        slice matrices and the containers of the slice and existence
-        bitmaps it holds."""
-        mats = sum(m.nbytes for _, m in self._packed.values()) if self._packed is not None else 0
-        bitmaps = [*(self._slices or ()), *(() if self._ex is None else (self._ex,))]
-        return mats, sum(bm.held_bytes() for bm in bitmaps)
-
-    def slice_at(self, i: int) -> RoaringBitmap:
-        return self.slices[i] if i < len(self.slices) else _EMPTY
+    def held_bytes(self) -> int:
+        """Bytes its packed slice matrices hold in memory."""
+        return sum(m.nbytes for _, m in self._packed.values())
 
     def nslices(self) -> int:
         return self._n
@@ -274,20 +233,30 @@ class BSI:
         return self._n > 0
 
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Decode to (sorted positions uint32, values uint64)."""
-        pos = self.existence().to_array()
-        vals = np.zeros(len(pos), dtype=np.uint64)
-        probes = Probes(pos)
-        for i, s in enumerate(self.slices):
-            vals += s.contains_array(probes).astype(np.uint64) << np.uint64(i)
-        return pos, vals
+        """Decode to (sorted positions uint32, values uint64), each key's
+        matrix unpacked once. Raises ValueError past 64 slices, whose
+        values a uint64 would wrap."""
+        if self._n > 64:
+            raise ValueError(f"a {self._n}-slice BSI holds values past uint64")
+        pos, vals = [np.empty(0, np.uint32)], [np.empty(0, np.uint64)]
+        for k, (lo, m) in self._packed.items():
+            bits = np.unpackbits(m.view(np.uint8), axis=1, bitorder="little").view(bool)
+            j = np.flatnonzero(bits.any(axis=0))
+            v = np.zeros(len(j), dtype=np.uint64)
+            for i, row in enumerate(bits):
+                v |= row[j].astype(np.uint64) << np.uint64(i)
+            pos.append(j.astype(np.uint32) + np.uint32((k << 16) + 64 * lo))
+            vals.append(v)
+        return np.concatenate(pos), np.concatenate(vals)
 
     def __eq__(self, other) -> bool:
+        # the packed form is canonical: minimal spans and rows
         if not isinstance(other, BSI):
             return NotImplemented
-        if self._n != other._n:
-            return False
-        return all(a == b for a, b in zip(self.slices, other.slices))
+        a, b = self._packed, other._packed
+        return a.keys() == b.keys() and all(
+            a[k][0] == b[k][0] and np.array_equal(a[k][1], b[k][1]) for k in a
+        )
 
     def __hash__(self):
         raise TypeError("BSI is not hashable")
@@ -297,122 +266,15 @@ class BSI:
 
     # -- arithmetic (§2.3) --------------------------------------------
     def add(self, other: "BSI") -> "BSI":
-        """S = X + Y by ripple-carry over bitmap ops (Figure 2).
-
-        Uses the half/full-adder identity carry' = (x AND y) OR
-        (carry AND (x XOR y)) — 4 bitmap ops per slice instead of the
-        naive majority form's 5."""
-        n = max(len(self.slices), len(other.slices))
-        out: list[RoaringBitmap] = []
-        carry = _EMPTY
-        for i in range(n):
-            x, y = self.slice_at(i), other.slice_at(i)
-            sxy = x ^ y
-            if carry:
-                out.append(sxy ^ carry)
-                carry = (x & y) | (sxy & carry)
-            else:
-                out.append(sxy)
-                carry = x & y
-        if carry:
-            out.append(carry)
-        return BSI(out)
-
-    def subtract(self, other: "BSI") -> "BSI":
-        """D = X - Y via borrow logic, defined where X >= Y pointwise.
-
-        The universe for bit complement is ex(X) | ex(Y). A borrow out
-        of the top slice marks exactly the positions where X < Y, whose
-        difference would wrap: ValueError then, instead of a wrapped
-        result (the paper never subtracts a larger value).
-        """
-        universe = self.existence() | other.existence()
-        n = max(len(self.slices), len(other.slices))
-        out: list[RoaringBitmap] = []
-        borrow = _EMPTY
-        for i in range(n):
-            x, y = self.slice_at(i), other.slice_at(i)
-            out.append(x ^ y ^ borrow)
-            not_x = universe.andnot(x)
-            borrow = (not_x & (y | borrow)) | (x & y & borrow)
-        if borrow:
-            raise ValueError(
-                f"BSI.subtract: X < Y at {borrow.cardinality()} positions"
-            )
-        return BSI(out)
-
-    def multiply_binary(self, bm: RoaringBitmap) -> "BSI":
-        """X * b with b binary (a filter): AND every slice with b.
-        Linear in the slice count — the hot multiplication in §2.3."""
-        return BSI([s & bm for s in self.slices])
-
-    def shift_left(self, k: int) -> "BSI":
-        """X * 2**k (prepend k empty slices)."""
-        if not self.slices or k == 0:
-            return self.copy()
-        return BSI([_EMPTY] * k + [s.copy() for s in self.slices])
-
-    def multiply(self, other: "BSI") -> "BSI":
-        """General multiplication, shift-and-add: O(s1*s2) slice ops."""
-        acc = BSI()
-        for i, yi in enumerate(other.slices):
-            if not yi:
-                continue
-            acc = acc.add(self.multiply_binary(yi).shift_left(i))
-        return acc
-
-    def add_const(self, k: int) -> "BSI":
-        """X + k on existing positions only (zeros stay non-existing).
-        A negative k is a :meth:`subtract`, so it raises ValueError if
-        an existing value is below -k."""
-        if k < 0:
-            return self.subtract(BSI._const_like(self, -k))
-        if k == 0:
-            return self.copy()
-        return self.add(BSI._const_like(self, k))
-
-    @staticmethod
-    def _const_like(x: "BSI", k: int) -> "BSI":
-        ex = x.existence()
-        return BSI([ex.copy() if (k >> i) & 1 else _EMPTY for i in range(k.bit_length())])
-
-    # -- BSI-vs-BSI comparisons (Algorithms 1-3) ----------------------
-    def _both_exist(self, other: "BSI") -> RoaringBitmap:
-        return self.existence() & other.existence()
-
-    def lt(self, other: "BSI") -> RoaringBitmap:
-        """Algorithm 1: rows where X < Y (both non-zero)."""
-        n = max(len(self.slices), len(other.slices))
-        l = _EMPTY
-        for i in range(n):
-            x, y = self.slice_at(i), other.slice_at(i)
-            l = (y | l).andnot(x) | (y & l)
-        return l & self._both_exist(other)
-
-    def eq(self, other: "BSI") -> RoaringBitmap:
-        """Algorithm 2: rows where X == Y (both non-zero)."""
-        e = self.existence().copy()
-        n = max(len(self.slices), len(other.slices))
-        for i in range(n):
-            e = e.andnot(self.slice_at(i) ^ other.slice_at(i))
-        return e
-
-    def ne(self, other: "BSI") -> RoaringBitmap:
-        """Algorithm 3: rows where X != Y (both non-zero)."""
-        ne = _EMPTY
-        n = max(len(self.slices), len(other.slices))
-        for i in range(n):
-            ne = ne | (self.slice_at(i) ^ other.slice_at(i))
-        return ne & self._both_exist(other)
-
-    def le(self, other: "BSI") -> RoaringBitmap:
-        return self.lt(other) | self.eq(other)
-
-    def gt(self, other: "BSI") -> RoaringBitmap:
-        return other.lt(self)
-
-    def ge(self, other: "BSI") -> RoaringBitmap:
-        return other.lt(self) | self.eq(other)
+        """S = X + Y (Figure 2), per container key a ripple carry over
+        both matrices (:func:`_add_packed`); a key held by one operand
+        is shared as it is. The sum's spans and rows are minimal with
+        no trim: it is non-zero exactly where an operand is, and its
+        top row holds an operand's top bit or a carry out."""
+        out = dict(self._packed)
+        for k, y in other._packed.items():
+            out[k] = y if k not in out else _add_packed(out[k], y)
+        return BSI({k: out[k] for k in sorted(out)})
 
     # -- BSI-vs-constant predicates -----------------------------------
     def const_masks(self, op: str, ks: Sequence[int]) -> Masks:
@@ -429,33 +291,29 @@ class BSI:
         and ``eq`` are computed: ``x <= k`` is ``x < k + 1``, and
         ``ge``, ``gt`` and ``ne`` are the complements of ``lt``, ``le``
         and ``eq`` within the existing rows. A constant of at most 0
-        holds no row equal or below; one of at least ``2**nslices``
-        holds every row below."""
+        holds no row equal or below; one of at least ``2**rows`` holds
+        every row of a key with ``rows`` rows below and none equal."""
         if op not in _CMP_OPS:
             raise ValueError(f"unknown comparison {op!r}; known: {_CMP_OPS}")
         ks = [int(k) + (op in ("le", "gt")) for k in ks]
         n = self._n
-        above = np.array([k >> n > 0 for k in ks], dtype=bool)  # every value is below k
+        klen = np.array([max(k, 0).bit_length() for k in ks], dtype=np.int64)
         # the bits of each constant in [1, 2**n); no value equals any other
         nbytes = (n + 7) // 8
-        raw = b"".join(
-            (k if k > 0 and not a else 0).to_bytes(nbytes, "little") for k, a in zip(ks, above)
-        )
+        raw = b"".join((k if 0 < k < 1 << n else 0).to_bytes(nbytes, "little") for k in ks)
         bits = np.unpackbits(
             np.frombuffer(raw, np.uint8).reshape(len(ks), nbytes), axis=1, bitorder="little"
         )
         # row i: all-ones words where bit i of the constant is set
         bits = np.negative(bits[:, :n].T.astype(np.uint64))[:, :, None]
         eq_side = op in ("eq", "ne")
-        keys = self._packed if self._packed is not None else self.existence()._c
         out = {}
-        for key in keys:
-            lo, m = self._matrix(key)
+        for key, (lo, m) in self._packed.items():
             ex = np.bitwise_or.reduce(m, axis=0)
             eq = np.repeat(ex[None], len(ks), axis=0)
             lt = np.zeros_like(eq)
             t = np.empty_like(eq)
-            for i in range(n - 1, -1, -1):
+            for i in range(len(m) - 1, -1, -1):
                 np.bitwise_xor(m[i], bits[i], out=t)
                 t &= eq  # equal so far, bit i differs from k's
                 eq ^= t
@@ -463,8 +321,7 @@ class BSI:
                     t &= bits[i]
                     lt |= t
             w = eq if eq_side else lt
-            if not eq_side:
-                w[above] = ex
+            w[klen > len(m)] = 0 if eq_side else ex  # k above every value at the key
             if op in ("ge", "gt", "ne"):
                 w ^= ex
             out[key] = (lo, w)
@@ -482,27 +339,11 @@ class BSI:
                     bm._c[key] = row
         return out
 
-    def lt_const(self, k: int) -> RoaringBitmap:
-        return self.compare_const("lt", [k])[0]
-
     def le_const(self, k: int) -> RoaringBitmap:
         return self.compare_const("le", [k])[0]
 
     def eq_const(self, k: int) -> RoaringBitmap:
         return self.compare_const("eq", [k])[0]
-
-    def ge_const(self, k: int) -> RoaringBitmap:
-        return self.compare_const("ge", [k])[0]
-
-    def gt_const(self, k: int) -> RoaringBitmap:
-        return self.compare_const("gt", [k])[0]
-
-    def ne_const(self, k: int) -> RoaringBitmap:
-        return self.compare_const("ne", [k])[0]
-
-    def range_search(self, lo: int, hi: int) -> RoaringBitmap:
-        """Rows with lo <= value <= hi (existing rows only)."""
-        return self.ge_const(lo) & self.le_const(hi)
 
     # -- in-BSI aggregates --------------------------------------------
     def sum(self) -> int:
@@ -518,82 +359,19 @@ class BSI:
         the filtered BSI: sum_i 2**i * card(slice_i AND bm)."""
         return sums_filtered([self], [bm])[0][0]
 
-    def mean(self) -> float:
-        n = self.count()
-        return self.sum() / n if n else float("nan")
-
-    def min(self) -> int:
-        """Smallest existing value (raises on empty BSI)."""
-        if not self.slices:
-            raise ValueError("min of empty BSI")
-        cand = self.existence()
-        v = 0
-        for i in range(len(self.slices) - 1, -1, -1):
-            z = cand.andnot(self.slices[i])
-            if z:
-                cand = z
-            else:
-                v |= 1 << i
-        return v
-
-    def max(self) -> int:
-        """Largest existing value (raises on empty BSI)."""
-        if not self.slices:
-            raise ValueError("max of empty BSI")
-        cand = self.existence()
-        v = 0
-        for i in range(len(self.slices) - 1, -1, -1):
-            o = cand & self.slices[i]
-            if o:
-                cand = o
-                v |= 1 << i
-        return v
-
-    def rank_value(self, r: int) -> int:
-        """The r-th smallest existing value (1-based rank)."""
-        n = self.count()
-        if not 1 <= r <= n:
-            raise ValueError(f"rank {r} out of range 1..{n}")
-        cand = self.existence()
-        v = 0
-        for i in range(len(self.slices) - 1, -1, -1):
-            zeros = cand.andnot(self.slices[i])
-            nz = zeros.cardinality()
-            if r <= nz:
-                cand = zeros
-            else:
-                r -= nz
-                cand = cand & self.slices[i]
-                v |= 1 << i
-        return v
-
-    def quantile(self, q: float) -> int:
-        """q-quantile (0 < q <= 1) of existing values, lower rounding."""
-        n = self.count()
-        if n == 0:
-            raise ValueError("quantile of empty BSI")
-        r = max(1, int(np.ceil(q * n)))
-        return self.rank_value(r)
-
-    def median(self) -> int:
-        return self.quantile(0.5)
-
     # -- serde --------------------------------------------------------
     def serialize(self) -> bytes:
         """Magic, slice count, then each slice's bitmap blob, length
-        first. A packed BSI encodes each key's slice matrix in one pass
-        (:func:`~repro.bsi.bitmap.encode_rows`): the same bytes."""
-        if self._packed is None:
-            blobs = [s.serialize() for s in self.slices]
-        else:
-            enc: list[dict] = [{} for _ in range(self._n)]
-            for k, (lo, m) in self._packed.items():
-                for e, row in zip(enc, encode_rows(m, lo)):
-                    if row is not None:
-                        e[k] = row
-            blobs = [write_containers(e) for e in enc]
+        first. Each key's slice matrix is encoded in one pass
+        (:func:`~repro.bsi.bitmap.encode_rows`): the bytes of the slice
+        bitmaps' own :meth:`~repro.bsi.bitmap.RoaringBitmap.serialize`."""
+        enc: list[dict] = [{} for _ in range(self._n)]
+        for k, (lo, m) in self._packed.items():
+            for e, row in zip(enc, encode_rows(m, lo)):
+                if row is not None:
+                    e[k] = row
         parts = [_MAGIC, struct.pack("<B", self._n)]
-        for b in blobs:
+        for b in map(write_containers, enc):
             parts.append(struct.pack("<I", len(b)))
             parts.append(b)
         return b"".join(parts)
@@ -601,7 +379,8 @@ class BSI:
     @classmethod
     def deserialize(cls, buf: bytes) -> "BSI":
         """Inverse of :meth:`serialize`. Raises ValueError on a bad
-        magic, a truncated or corrupt slice, or trailing bytes."""
+        magic, a truncated or corrupt slice, an empty top slice (which
+        no BSI serializes to), or trailing bytes."""
         check_room(buf, 0, 4, "BSI")
         if buf[:3] != _MAGIC:
             raise ValueError("bad BSI magic")
@@ -615,14 +394,15 @@ class BSI:
             slices.append(RoaringBitmap.deserialize(buf[off : off + m]))
             off += m
         check_end(buf, off, "BSI")
-        return cls(slices)
+        if slices and not slices[-1]:
+            raise ValueError(f"empty top slice in a {len(slices)}-slice BSI blob")
+        keys = sorted(set().union(*(s._c.keys() for s in slices)))
+        return cls({k: _pack(slices, k) for k in keys})
 
     def nbytes(self) -> int:
-        """Serialized size in bytes (storage accounting, Table 4). A
-        packed BSI sizes each key's rows from their counts
+        """Serialized size in bytes (storage accounting, Table 4), each
+        key's rows sized from their counts
         (:func:`~repro.bsi.bitmap.row_kinds`)."""
-        if self._packed is None:
-            return 4 + sum(4 + s.nbytes() for s in self.slices)
         n = 4 + 11 * self._n  # per slice: its length, the bitmap's magic and count
         for _, m in self._packed.values():
             n += sum(7 + payload_size(*k) for k in row_kinds(m)[0] if k is not None)
@@ -695,7 +475,7 @@ def grouped_sums(
     else Python ints.
 
     Per container key of the masks, each value's packed slice matrix
-    (:meth:`BSI.densify`) is cut to its span's overlap with the masks'
+    is cut to its span's overlap with the masks'
     span, ``[lo, hi)``, and laid into a block at its place there, the
     rest of its rows zero; row ``i`` of a value weighs ``2**i``. Each
     group's rows are led by an all-ones row, whose popcount under a
@@ -703,8 +483,7 @@ def grouped_sums(
     only and popcounted in blocks of at most :data:`_CHUNK_WORDS`
     words, in place, into buffers reused across blocks; per key, one
     ``np.add.reduceat`` then weighs the popcounts of every group's
-    values. A value that was never densified is packed into a matrix
-    for this call only."""
+    values."""
     # Reaches into the bitmaps' container dicts (same library;
     # containers are immutable and only the kernel's own buffers are
     # written).
@@ -726,7 +505,7 @@ def grouped_sums(
             piece_g.append(g)
             piece_v.append(-1)
             for v, x in enumerate(vs):
-                packed = x._matrix(key) if x is not None else None
+                packed = x._packed.get(key) if x is not None else None
                 if packed is None:
                     continue
                 a, m = packed
@@ -805,28 +584,3 @@ def sum_bsi(bsis: Iterable[BSI]) -> BSI:
     for b in bsis:
         acc = acc.add(b)
     return acc
-
-
-def max_bsi(x: BSI, y: BSI) -> BSI:
-    """maxBSI(X, Y) := X * (X > Y) + Y * (X <= Y), plus the rows that
-    exist on only one side (zeros are non-existing, so the max is the
-    existing value there)."""
-    both = x._both_exist(y)
-    only_x = x.existence().andnot(both)
-    only_y = y.existence().andnot(both)
-    out = x.multiply_binary(x.gt(y)).add(y.multiply_binary(x.le(y)))
-    return out.add(x.multiply_binary(only_x)).add(y.multiply_binary(only_y))
-
-
-def mul_bsi(x: BSI, y: BSI) -> BSI:
-    """mulBSI(X, Y) := X * Y (zero where either is missing)."""
-    return x.multiply(y)
-
-
-def distinct_pos(bsis: Iterable[BSI]) -> BSI:
-    """distinctPos: binary BSI of positions holding a value in any
-    input — the unique-visitor primitive (§4.2)."""
-    acc = RoaringBitmap.empty()
-    for b in bsis:
-        acc = acc | b.existence()
-    return BSI.from_bitmap(acc)

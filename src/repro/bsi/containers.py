@@ -9,9 +9,10 @@ high-16-bit key. Two physical representations, as in roaring:
   bits); bit ``i`` of word ``w`` (little-endian within the word) is
   position ``w * 64 + i``.
 
-The representation is re-chosen after every operation (`normalize`),
-so container size tracks data density exactly like roaring — this is
-the compression property the paper's performance results rely on.
+A decoded container takes the representation its cardinality calls
+for (`normalize`), so container size tracks data density exactly like
+roaring — the compression property the paper's performance results
+rely on.
 
 All functions are free functions over numpy arrays; the container kind
 is encoded in the dtype (``uint16`` = array, ``uint64`` = bitset). An
@@ -113,17 +114,6 @@ def bitset_to_array(b: np.ndarray) -> np.ndarray:
     return np.flatnonzero(bits).astype(np.uint16)
 
 
-def from_positions(pos: np.ndarray) -> np.ndarray | None:
-    """Build a container from a vector of (not necessarily sorted,
-    possibly duplicated) uint16-range positions."""
-    if len(pos) == 0:
-        return None
-    a = np.unique(np.asarray(pos, dtype=np.uint16))
-    if len(a) < ARRAY_THRESHOLD:
-        return a
-    return array_to_bitset(a)
-
-
 def to_positions(c: np.ndarray | None) -> np.ndarray:
     """Sorted uint16 vector of the set positions."""
     if c is None:
@@ -136,11 +126,9 @@ def to_positions(c: np.ndarray | None) -> np.ndarray:
 def normalize(c: np.ndarray | None) -> np.ndarray | None:
     """Re-choose the representation by cardinality; ``None`` if empty.
 
-    Used at decode time and on array-array op results; other op hot
-    paths use :func:`_lazy`, which only detects emptiness (a cheap
-    ``any()``) and otherwise keeps the incoming representation — real
-    roaring makes the same trade, and serialization picks the encoding
-    from the positions, so storage numbers are unaffected."""
+    Used at decode time. An AND result keeps its operands'
+    representation, as real roaring does; serialization picks the
+    encoding from the positions, so storage numbers are unaffected."""
     n = card(c)
     if n == 0:
         return None
@@ -149,15 +137,6 @@ def normalize(c: np.ndarray | None) -> np.ndarray | None:
     if is_array(c) and n >= ARRAY_THRESHOLD:
         return array_to_bitset(c)
     return c
-
-
-def _lazy(c: np.ndarray | None) -> np.ndarray | None:
-    """Emptiness-only normalisation for op results (no repr change)."""
-    if c is None:
-        return None
-    if is_array(c):
-        return c if len(c) else None
-    return c if c.any() else None
 
 
 def runs_from_positions(a: np.ndarray) -> np.ndarray:
@@ -251,69 +230,17 @@ def c_and(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
         r = np.intersect1d(a, b, assume_unique=True)
         return r if len(r) else None
     if is_bitset(a) and is_bitset(b):
-        return _lazy(a & b)
+        r = a & b  # kept a bitset, as real roaring does; only emptiness is checked
+        return r if r.any() else None
     arr, bs = (a, b) if is_array(a) else (b, a)
     r = arr[contains(bs, arr)]
     return r if len(r) else None
 
 
-def c_or(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """Union of two containers."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if is_array(a) and is_array(b):
-        r = np.union1d(a, b)
-        return normalize(r.astype(np.uint16))
-    if is_bitset(a) and is_bitset(b):
-        return a | b  # card only grows; stays a bitset
-    arr, bs = (a, b) if is_array(a) else (b, a)
-    out = bs.copy()
-    p = arr.astype(np.uint64)
-    np.bitwise_or.at(out, p >> np.uint64(6), np.uint64(1) << (p & np.uint64(63)))
-    return out
-
-
-def c_xor(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """Symmetric difference of two containers."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if is_array(a) and is_array(b):
-        r = np.setxor1d(a, b, assume_unique=True)
-        return normalize(r.astype(np.uint16))
-    if is_bitset(a) and is_bitset(b):
-        return _lazy(a ^ b)
-    arr, bs = (a, b) if is_array(a) else (b, a)
-    out = bs.copy()
-    p = arr.astype(np.uint64)
-    np.bitwise_xor.at(out, p >> np.uint64(6), np.uint64(1) << (p & np.uint64(63)))
-    return _lazy(out)
-
-
-def c_andnot(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """Difference ``a \\ b``."""
-    if a is None:
-        return None
-    if b is None:
-        return a
-    if is_array(a):
-        r = a[~contains(b, a)]
-        return r if len(r) else None
-    if is_bitset(b):
-        return _lazy(a & ~b)
-    # a bitset, b array: clear b's bits in a copy of a.
-    out = a.copy()
-    p = b.astype(np.uint64)
-    np.bitwise_and.at(out, p >> np.uint64(6), ~(np.uint64(1) << (p & np.uint64(63))))
-    return _lazy(out)
-
-
 def c_equal(a: np.ndarray | None, b: np.ndarray | None) -> bool:
     """Set equality of two containers (representation-agnostic, since
-    lazily-normalised op results may hold small sets in bitset form)."""
+    AND results and derived slices may hold small sets in bitset
+    form)."""
     if a is None or b is None:
         return card(a) == card(b) == 0
     if is_array(a) == is_array(b):

@@ -128,10 +128,6 @@ def score_segment(
     )
 
 
-def _decode(blob: bytes) -> BSI:
-    return BSI.deserialize(blob).densify()
-
-
 def score_frames(
     e: DataFrame,
     m: DataFrame,
@@ -159,13 +155,13 @@ def score_frames(
             (
                 int(r.strategy_id),
                 int(r.min_expose_date),
-                _decode(r.offset),
-                _decode(r.bucket) if n_buckets is not None else None,
+                BSI.deserialize(r.offset),
+                BSI.deserialize(r.bucket) if n_buckets is not None else None,
             )
             for r in left.itertuples(index=False)
         ]
         metrics = {
-            (int(r.metric_id), date): _decode(r.value)
+            (int(r.metric_id), date): BSI.deserialize(r.value)
             for r in right.itertuples(index=False)
         }
         extra = None

@@ -32,11 +32,11 @@ Loading (``from_logs``, the daily load into the nodes' cache) makes one
 stable sort per log on a packed (segment, metric, date) or (segment,
 strategy) key and one hash lookup from unit id to position; each group
 is then a slice of the sorted columns, in log order, built by
-:meth:`repro.bsi.bsi.BSI.from_arrays` straight into the packed compute
-form: per container key, one slice matrix of the words its positions
-use, and no slice bitmaps. A log that lists units by id gives each
-group in ascending position (positions follow engagement, which falls
-with the id), so no group is sorted again.
+:meth:`repro.bsi.bsi.BSI.from_arrays` straight into its packed form:
+per container key, one slice matrix of the words its positions use. A
+log that lists units by id gives each group in ascending position
+(positions follow engagement, which falls with the id), so no group is
+sorted again.
 Unit ids must lie in [0, 2**32): the normal store keys its bitmaps by
 them and keeps them as uint32, so the load rejects any other id rather
 than wrap it. :meth:`AdhocEngine.footprint` reports the bytes the store
@@ -218,17 +218,13 @@ class AdhocEngine:
     def footprint(self) -> dict[str, int]:
         """Bytes the store holds in memory, by component (the node
         cache's footprint is its capacity, §5.3): the BSIs' packed
-        slice matrices (``bsi_matrices``), the slice or existence
-        bitmaps the BSIs hold (``bsi_bitmaps``: none unless a
-        bitmap-op path asked for them, which no query does), and the
-        normal store's unit ids and values (``normal_rows``) and
-        per-day exposed-user bitmaps (``expose_bitmaps``)."""
-        out = dict.fromkeys(("bsi_matrices", "bsi_bitmaps", "normal_rows", "expose_bitmaps"), 0)
+        slice matrices (``bsi_matrices``), and the normal store's unit
+        ids and values (``normal_rows``) and per-day exposed-user
+        bitmaps (``expose_bitmaps``)."""
+        out = dict.fromkeys(("bsi_matrices", "normal_rows", "expose_bitmaps"), 0)
         for s in self.segments:
             for b in [*s.metric_bsi.values(), *(b for _, b in s.expose_bsi.values())]:
-                mats, bitmaps = b.held_bytes()
-                out["bsi_matrices"] += mats
-                out["bsi_bitmaps"] += bitmaps
+                out["bsi_matrices"] += b.held_bytes()
             out["normal_rows"] += sum(u.nbytes + v.nbytes for u, v in s.metric_rows.values())
             out["expose_bitmaps"] += sum(bm.held_bytes() for bm in s.expose_day_bitmaps.values())
         return out

@@ -371,9 +371,9 @@ def test_unloaded_date_raises(logs, method):
 # -- footprint: the store holds the words its positions use ---------------
 def test_footprint_is_span_words_plus_row_store(edge_logs):
     # unit ids over several container keys; after both query methods
-    # have run, the store holds nslices x used words x 8 bytes of matrices
-    # per BSI and key, no slice or existence bitmaps, and 4 + 8 bytes
-    # per row of the loaded dates
+    # have run, the store holds rows x used words x 8 bytes of matrices
+    # per BSI and key (a row per bit of the key's largest value), and
+    # 4 + 8 bytes per row of the loaded dates
     users, metric, expose = edge_logs
     eng = _load(users, metric, expose)
     kw = dict(strategy_ids=ALL_STRATEGIES, metric_ids=[1, 2, 3], dates=[1, 3, 4])
@@ -383,19 +383,20 @@ def test_footprint_is_span_words_plus_row_store(edge_logs):
     words = 0
     for s in eng.segments:
         for b in [*s.metric_bsi.values(), *(b for _, b in s.expose_bsi.values())]:
-            assert b._slices is None and b._ex is None
-            pos, _ = BSI.deserialize(b.serialize()).to_arrays()
+            pos, vals = b.to_arrays()
             for k in np.unique(pos >> 16):
-                low = pos[pos >> 16 == k] & 0xFFFF
-                words += b.nslices() * (int(low[-1]) // 64 - int(low[0]) // 64 + 1)
+                low, v = pos[pos >> 16 == k] & 0xFFFF, vals[pos >> 16 == k]
+                rows = int(v.max()).bit_length()
+                words += rows * (int(low[-1]) // 64 - int(low[0]) // 64 + 1)
     loaded = metric[metric.date.isin([1, 3, 4])]
-    assert fp["bsi_matrices"] == 8 * words
-    assert fp["bsi_bitmaps"] == 0
-    assert fp["normal_rows"] == len(loaded) * (4 + loaded["value"].dtype.itemsize)
-    assert fp["expose_bitmaps"] == sum(
-        c.nbytes for s in eng.segments for bm in s.expose_day_bitmaps.values() for c in bm._c.values()
-    )
-    # a bitmap-op path derives the slices, and the footprint shows them
-    b = next(iter(eng.segments[0].metric_bsi.values()))
-    b.to_arrays()
-    assert eng.footprint()["bsi_bitmaps"] > 0
+    assert fp == {
+        "bsi_matrices": 8 * words,
+        "normal_rows": len(loaded) * (4 + loaded["value"].dtype.itemsize),
+        "expose_bitmaps": sum(
+            c.nbytes for s in eng.segments for bm in s.expose_day_bitmaps.values()
+            for c in bm._c.values()
+        ),
+    }
+    # decoding a BSI keeps nothing: the footprint is unchanged
+    next(iter(eng.segments[0].metric_bsi.values())).to_arrays()
+    assert eng.footprint() == fp

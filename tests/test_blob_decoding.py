@@ -104,14 +104,26 @@ def test_array_payload_not_strictly_increasing(lows):
         RoaringBitmap.deserialize(blob)
 
 
-@pytest.mark.parametrize("container", [
-    (4, 0, 0, b""),
-    (4, 2, 0, b""),
-    (4, 1, 0, bytes(8 * 1024)),
-], ids=["array", "run", "bitset"])
-def test_empty_container(container):
-    with pytest.raises(ValueError, match="empty RoaringBitmap container \\(key 4\\)"):
-        RoaringBitmap.deserialize(_blob(container))
+def _bsi_blob(*slices: bytes) -> bytes:
+    """A BSI blob of these slice bitmap blobs."""
+    return b"BS1" + bytes([len(slices)]) + b"".join(struct.pack("<I", len(b)) + b for b in slices)
+
+
+EMPTY_CONTAINER = "empty RoaringBitmap container \\(key 4\\)"
+
+
+@pytest.mark.parametrize("decode,blob,what", [
+    (RoaringBitmap.deserialize, _blob((4, 0, 0, b"")), EMPTY_CONTAINER),
+    (RoaringBitmap.deserialize, _blob((4, 2, 0, b"")), EMPTY_CONTAINER),
+    (RoaringBitmap.deserialize, _blob((4, 1, 0, bytes(8 * 1024))), EMPTY_CONTAINER),
+    # a BSI's top slice holds its largest values' top bit: never empty
+    (BSI.deserialize, _bsi_blob(RoaringBitmap.from_array([1, 70_000]).serialize(),
+                                RoaringBitmap.empty().serialize()),
+     "empty top slice in a 2-slice BSI blob"),
+], ids=["array", "run", "bitset", "bsi-top-slice"])
+def test_empty_container(decode, blob, what):
+    with pytest.raises(ValueError, match=what):
+        decode(blob)
 
 
 @pytest.mark.parametrize("keys", [(5, 5), (5, 2)], ids=["repeated", "decreasing"])

@@ -1,8 +1,8 @@
 """Building BSIs and choosing container encodings: ``BSI.from_arrays``
 (packed slice matrices written from the values' bit planes) against a
-slice-by-slice ``RoaringBitmap.from_array`` reference, and the
-word-level run count of ``serialize`` against counting runs on the
-decoded positions."""
+slice-by-slice ``RoaringBitmap.from_array`` reference and the blob its
+slices serialize to, and the word-level run count of ``serialize``
+against counting runs on the decoded positions."""
 import struct
 
 import numpy as np
@@ -22,18 +22,19 @@ def _same_positions(a: RoaringBitmap, b: RoaringBitmap) -> bool:
 
 
 def _assert_packed(b: BSI, ref: list[RoaringBitmap]) -> None:
-    """A BSI fresh from ``from_arrays`` holds no slice bitmaps, and per
-    key of the reference slices ``ref`` one C-contiguous ``(nslices,
-    hi - lo)`` matrix of the words ``[lo, hi)``, minimal (its first and
-    last columns are non-zero): row ``i`` widened to 1024 words is
-    ``ref[i]``'s container there, and a slice without the key has a zero
-    row."""
-    assert b._slices is None
-    assert b._packed is not None and set(b._packed) == set().union(*(s._c.keys() for s in ref))
+    """Per key of the reference slices ``ref``, ``b`` holds one
+    C-contiguous ``(rows, hi - lo)`` matrix of the words ``[lo, hi)``,
+    minimal (its first and last columns and its last row are non-zero):
+    row ``i`` widened to 1024 words is ``ref[i]``'s container there, a
+    slice without the key has a zero row, and the slices above ``rows``
+    lack the key."""
+    assert b.nslices() == len(ref)
+    assert set(b._packed) == set().union(*(s._c.keys() for s in ref))
     for k, (lo, m) in b._packed.items():
         assert m.dtype == np.uint64 and m.flags.c_contiguous
-        assert m.shape[0] == len(ref) == b.nslices() and 0 <= lo < lo + m.shape[1] <= C.BITSET_WORDS
-        assert m[:, 0].any() and m[:, -1].any()
+        assert 0 <= lo < lo + m.shape[1] <= C.BITSET_WORDS
+        assert m[:, 0].any() and m[:, -1].any() and m[-1].any()
+        assert all(k not in s._c for s in ref[len(m):])
         for s, row in zip(ref, m):
             c = s._c.get(k)
             if c is None:
@@ -54,8 +55,9 @@ def _kinds(bm_blob: bytes) -> dict[int, int]:
     return out
 
 
-def _reference(pos: list[int], vals: list[int]) -> list[RoaringBitmap]:
-    """One from_array call per slice, over the positions holding bit i."""
+def slices_of(pos: list[int], vals: list[int]) -> list[RoaringBitmap]:
+    """One from_array call per slice, over the positions holding bit i
+    (values are Python ints, of any width)."""
     nbits = max(vals, default=0).bit_length()
     return [
         RoaringBitmap.from_array(
@@ -63,6 +65,17 @@ def _reference(pos: list[int], vals: list[int]) -> list[RoaringBitmap]:
         )
         for i in range(nbits)
     ]
+
+
+def blob_of(slices: list[RoaringBitmap]) -> bytes:
+    """The BSI blob of these slices, assembled from their own
+    ``RoaringBitmap.serialize``: magic, slice count, then each slice's
+    blob after its length."""
+    parts = [b"BS1", struct.pack("<B", len(slices))]
+    for bm in slices:
+        blob = bm.serialize()
+        parts += [struct.pack("<I", len(blob)), blob]
+    return b"".join(parts)
 
 
 # positions over at least three container keys, in random order; each
@@ -92,13 +105,13 @@ def bsi_inputs(draw):
 def test_from_arrays_matches_slice_by_slice_reference(inp):
     pos, vals = inp
     got = BSI.from_arrays(np.array(pos, dtype=np.uint32), np.array(vals, dtype=np.uint64))
-    ref = BSI(_reference(pos, vals))
-    _assert_packed(got, ref.slices)
-    assert len(got.slices) == len(ref.slices)
-    for g, r in zip(got.slices, ref.slices):
+    ref = slices_of(pos, vals)
+    _assert_packed(got, ref)
+    assert len(got.slices) == len(ref)
+    for g, r in zip(got.slices, ref):
         assert _same_positions(g, r)
         assert g.serialize() == r.serialize()
-    assert got.serialize() == ref.serialize()
+    assert got.serialize() == blob_of(ref)
 
 
 @pytest.mark.parametrize("n", [4095, 4096])
@@ -144,9 +157,10 @@ def test_from_arrays_sorted_or_shuffled_input(order):
         perm = rng.permutation(len(pos))
         pos, vals = pos[perm], vals[perm]
     got = BSI.from_arrays(pos, vals)
-    ref = BSI(_reference(pos.tolist(), vals.tolist()))
-    _assert_packed(got, ref.slices)
-    assert got == ref and got.serialize() == ref.serialize()
+    ref = slices_of(pos.tolist(), vals.tolist())
+    _assert_packed(got, ref)
+    blob = blob_of(ref)
+    assert got.serialize() == blob and got == BSI.deserialize(blob)
     o = np.argsort(pos)
     keep = vals[o] != 0
     p, v = got.to_arrays()
@@ -172,7 +186,7 @@ def test_from_arrays_bounds_plane_blocks(monkeypatch):
     whole = BSI.from_arrays(pos, vals)
     monkeypatch.setattr(B, "_BUILD_WORDS", 3 * 1500)
     blocks = BSI.from_arrays(pos, vals)
-    _assert_packed(blocks, _reference(pos.tolist(), vals.tolist()))
+    _assert_packed(blocks, slices_of(pos.tolist(), vals.tolist()))
     assert whole._packed.keys() == blocks._packed.keys()
     for k, (lo, m) in whole._packed.items():
         assert blocks._packed[k][0] == lo and np.array_equal(blocks._packed[k][1], m)
@@ -279,11 +293,17 @@ def test_sparse_keys_cost_what_they_hold():
     ).astype(np.uint32)
     vals = rng.integers(1 << 63, U64_MAX, 100, dtype=np.uint64, endpoint=True)
     got = BSI.from_arrays(pos, vals)
-    ref = _reference(pos.tolist(), vals.tolist())
+    ref = slices_of(pos.tolist(), vals.tolist())
     _assert_packed(got, ref)
-    assert sum(m.nbytes for _, m in got._packed.values()) == 100 * 64 * 8 < 1 << 20
+    assert got.held_bytes() == 100 * 64 * 8 == 51_200
     blob = got.serialize()
-    assert blob == BSI(ref).serialize() and got.nbytes() == len(blob)
+    assert blob == blob_of(ref) and got.nbytes() == len(blob)
+    # nothing derived is kept: decoding, comparing, the slice view and
+    # the existence bitmap leave the matrices alone
+    got.to_arrays()
+    assert got == BSI.deserialize(blob)
+    assert len(got.slices) == 64 and got.existence().cardinality() == 100
+    assert got.held_bytes() == 51_200
 
 
 # low bits at and next to word and container edges, in the first two and
@@ -306,12 +326,12 @@ def test_from_arrays_at_word_and_key_edges(pos, data):
     ))
     assume(any(vals))
     got = BSI.from_arrays(np.array(pos, dtype=np.uint32), np.array(vals, dtype=np.uint64))
-    ref = _reference(pos, vals)
+    ref = slices_of(pos, vals)
     # minimal spans, zero rows for slices without the key, equal words
     _assert_packed(got, ref)
     blob = got.serialize()
-    assert blob == BSI(ref).serialize() and got.nbytes() == len(blob)
-    back = BSI.deserialize(blob).densify()
+    assert blob == blob_of(ref) and got.nbytes() == len(blob)
+    back = BSI.deserialize(blob)
     assert back._packed.keys() == got._packed.keys()
     for k, (lo, m) in got._packed.items():
         assert back._packed[k][0] == lo and np.array_equal(back._packed[k][1], m)

@@ -1,37 +1,22 @@
-"""BSI comparison operators (paper Algorithms 1-3 + derived ops) and
-constant predicates, vs the dict reference model."""
-import numpy as np
+"""Constant predicates (the O'Neil–Quass bit-sliced comparison, one
+constant at a time), vs the dict reference model."""
+import operator
+
 import pytest
 
 from repro.bsi.bsi import BSI
-from tests.test_bsi_arith import as_dict, rand_dict, ref
+from tests.test_bsi_arith import rand_dict, ref
 
-PAIRS = [
-    ({}, {}),
-    ({1: 5}, {1: 5}),
-    ({1: 5}, {1: 7}),
-    ({1: 7}, {1: 5}),
-    ({1: 5, 2: 9}, {2: 9, 3: 4}),
-    (rand_dict(20, vmax=50), rand_dict(21, vmax=50)),
-    (rand_dict(22, vmax=100_000), rand_dict(23, vmax=100_000)),
-    (rand_dict(24, n=4000, pmax=10_000, vmax=8), rand_dict(25, n=4000, pmax=10_000, vmax=8)),
-]
+OPS = {"lt": operator.lt, "le": operator.le, "eq": operator.eq,
+       "ge": operator.ge, "gt": operator.gt, "ne": operator.ne}
 
 
 def bmset(bm):
     return set(bm.to_array().tolist())
 
 
-@pytest.mark.parametrize("x,y", PAIRS, ids=range(len(PAIRS)))
-def test_lt_le_gt_ge_eq_ne(x, y):
-    bx, by = ref(x), ref(y)
-    common = set(x) & set(y)
-    assert bmset(bx.lt(by)) == {p for p in common if x[p] < y[p]}
-    assert bmset(bx.le(by)) == {p for p in common if x[p] <= y[p]}
-    assert bmset(bx.gt(by)) == {p for p in common if x[p] > y[p]}
-    assert bmset(bx.ge(by)) == {p for p in common if x[p] >= y[p]}
-    assert bmset(bx.eq(by)) == {p for p in common if x[p] == y[p]}
-    assert bmset(bx.ne(by)) == {p for p in common if x[p] != y[p]}
+def cmp(b, op, k):
+    return b.compare_const(op, [k])[0]
 
 
 KS = [0, 1, 2, 3, 5, 7, 8, 31, 64, 100, 1023, 10**6]
@@ -42,45 +27,40 @@ KS = [0, 1, 2, 3, 5, 7, 8, 31, 64, 100, 1023, 10**6]
 def test_const_predicates(seed, k):
     x = rand_dict(seed, vmax=200)
     bx = ref(x)
-    assert bmset(bx.lt_const(k)) == {p for p, v in x.items() if v < k}
-    assert bmset(bx.le_const(k)) == {p for p, v in x.items() if v <= k}
-    assert bmset(bx.gt_const(k)) == {p for p, v in x.items() if v > k}
-    assert bmset(bx.ge_const(k)) == {p for p, v in x.items() if v >= k}
-    assert bmset(bx.eq_const(k)) == {p for p, v in x.items() if v == k}
-    assert bmset(bx.ne_const(k)) == {p for p, v in x.items() if v != k}
+    for op, fn in OPS.items():
+        assert bmset(cmp(bx, op, k)) == {p for p, v in x.items() if fn(v, k)}, op
 
 
 def test_gt_zero_is_existence():
     x = rand_dict(33)
     bx = ref(x)
-    assert bx.gt_const(0) == bx.existence()
+    assert cmp(bx, "gt", 0) == bx.existence()
 
 
 @pytest.mark.parametrize("lo,hi", [(1, 1), (2, 5), (0, 100), (50, 40), (7, 63)])
 def test_range_search(lo, hi):
+    # a range as two predicates ANDed, as deep dive merges its filters
     x = rand_dict(34, vmax=100)
-    got = bmset(ref(x).range_search(lo, hi))
+    got = bmset(cmp(ref(x), "ge", lo) & cmp(ref(x), "le", hi))
     assert got == {p for p, v in x.items() if lo <= v <= hi}
 
 
 def test_cmp_with_zero_rows_excluded():
-    # paper: rows where either side is 0 never appear in comparison output
-    x, y = {1: 3, 2: 4}, {2: 4, 3: 9}
-    bx, by = ref(x), ref(y)
-    for op in ("lt", "le", "gt", "ge", "eq", "ne"):
-        assert bmset(getattr(bx, op)(by)) <= {2}
+    # paper: a zero value is non-existing, so no predicate selects it,
+    # not even "< 1" or "!= 5"
+    bx = BSI.from_arrays([1, 2, 3], [3, 0, 4])
+    for op in OPS:
+        for k in (0, 1, 4, 5):
+            assert bmset(cmp(bx, op, k)) <= {1, 3}
 
 
 @pytest.mark.parametrize("k", [-5, -1, 0, 1, 6, 7, 8, 9, 2**70])
 def test_const_predicates_edge_constants(k):
     # values up to 7 take 3 slices: k <= 0 lies below every value and
-    # k >= 2**3 above every value, so both answer without a slice scan
-    x = {1: 7, 2: 3, 70_000: 1, 70_001: 6, 200_000: 7}
+    # k >= 2**3 above every value, so both answer without a slice scan;
+    # key 2 holds only value 1, one row, so k >= 2 lies above it there
+    x = {1: 7, 2: 3, 70_000: 1, 70_001: 6, 140_000: 1, 200_000: 7}
     bx = ref(x)
     assert bx.nslices() == 3
-    assert bmset(bx.lt_const(k)) == {p for p, v in x.items() if v < k}
-    assert bmset(bx.le_const(k)) == {p for p, v in x.items() if v <= k}
-    assert bmset(bx.gt_const(k)) == {p for p, v in x.items() if v > k}
-    assert bmset(bx.ge_const(k)) == {p for p, v in x.items() if v >= k}
-    assert bmset(bx.eq_const(k)) == {p for p, v in x.items() if v == k}
-    assert bmset(bx.ne_const(k)) == {p for p, v in x.items() if v != k}
+    for op, fn in OPS.items():
+        assert bmset(cmp(bx, op, k)) == {p for p, v in x.items() if fn(v, k)}, op

@@ -94,14 +94,15 @@ def test_expose_bsi_offsets(world):
     pdf = world.expose_bsi.toPandas()
     for r in pdf.itertuples(index=False):
         off = BSI.deserialize(r.offset)
-        assert off.min() >= 1
+        vals = off.to_arrays()[1]
+        assert vals.min() >= 1
         raw = world.expose[
             (world.expose.strategy_id == r.strategy_id)
             & (world.expose.segment_id == r.segment_id)
         ]
         assert r.min_expose_date == raw["first_expose_date"].min()
         assert off.count() == len(raw)
-        assert off.max() == raw["first_expose_date"].max() - r.min_expose_date + 1
+        assert vals.max() == raw["first_expose_date"].max() - r.min_expose_date + 1
 
 
 def test_expose_bsi_buckets(world):
@@ -109,7 +110,8 @@ def test_expose_bsi_buckets(world):
     pdf = world.expose_bsi.toPandas()
     r = pdf.iloc[0]
     b = BSI.deserialize(r.bucket)
-    assert 1 <= b.min() and b.max() <= N_SEGMENTS
+    vals = b.to_arrays()[1]
+    assert 1 <= vals.min() and vals.max() <= N_SEGMENTS
     off = BSI.deserialize(r.offset)
     assert b.existence() == off.existence()  # same exposed population
 
@@ -124,7 +126,8 @@ def test_dimension_bsi_values(world):
     pdf = world.dim_bsi.toPandas()
     row = pdf[pdf.dimension_name == "client-type"].iloc[0]
     b = BSI.deserialize(row.value)
-    assert 1 <= b.min() and b.max() <= 5
+    vals = b.to_arrays()[1]
+    assert 1 <= vals.min() and vals.max() <= 5
     # every user appears: dimension log covers the full universe
     seg_users = (world.users.assign(
         segment_id=H.segment_of(world.users["analysis_unit_id"].to_numpy(), N_SEGMENTS)

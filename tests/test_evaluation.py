@@ -41,7 +41,7 @@ def test_densify_preserves_semantics():
     assert a.sum() == b.sum()
     assert a.count() == b.count()
     assert (a.le_const(100) == b.le_const(100))
-    flt = a.gt_const(500)
+    flt = a.compare_const("gt", [500])[0]
     assert a.sum_filtered(flt) == b.sum_filtered(flt)
     s = a.add(b)
     assert s.sum() == 2 * a.sum()

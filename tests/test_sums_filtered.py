@@ -1,12 +1,13 @@
 """Differential test of the batched filtered-sum kernel
 (:func:`repro.bsi.bsi.sums_filtered`) against a pure-Python sum over
 ``to_arrays()``, on random BSIs and filters that reach its edges:
-several container keys, array and bitset containers (densified or
-not), keys on only one side, empty filters, ``None`` values, filters
-confined to the first or last word of a container, and values up to
-2**64 - 1; packed (densified) values against their canonical form;
-the filters' counts, which :func:`repro.core.scorecard.score_segment`
+several container keys, array and bitset filter containers (densified
+or not), keys on only one side, empty filters, ``None`` values,
+filters confined to the first or last word of a container, and values
+up to 2**64 - 1; values built from arrays against the same values
+decoded from their blobs; the filters' counts, which :func:`repro.core.scorecard.score_segment`
 reports as exposed users."""
+import struct
 from unittest import mock
 
 import numpy as np
@@ -44,7 +45,7 @@ def value_bsis(draw):
     vals = rng.integers(1, (1 << bits) - 1, len(pos), dtype=np.uint64, endpoint=True)
     if len(vals):
         vals[0] = (1 << bits) - 1  # the widest value of this width
-    b = BSI.from_arrays(pos, vals)  # packed; its decoded blob is not
+    b = BSI.from_arrays(pos, vals)
     return b if draw(st.booleans()) else BSI.deserialize(b.serialize())
 
 
@@ -101,11 +102,11 @@ def test_sums_filtered_splits_into_blocks():
     rng = np.random.default_rng(5)
     pos = np.unique(rng.integers(0, 1 << 17, 60_000))
     wide = [
-        BSI.from_arrays(pos, rng.integers(1, 2**64 - 1, len(pos), dtype=np.uint64)).densify()
+        BSI.from_arrays(pos, rng.integers(1, 2**64 - 1, len(pos), dtype=np.uint64))
         for _ in range(3)
     ]
     narrow = [
-        BSI.from_arrays(pos, rng.integers(64, 127, len(pos))).densify() for _ in range(3)
+        BSI.from_arrays(pos, rng.integers(64, 127, len(pos))) for _ in range(3)
     ]
     flts = [RoaringBitmap.from_array(rng.choice(pos, 5000)) for _ in range(40)]
     flts[0] = RoaringBitmap.from_array([0, (1 << 16) - 1, 1 << 16, (1 << 17) - 1])
@@ -160,53 +161,54 @@ def test_packed_equals_canonical_equals_python(columns, filter_pos, chunk_words)
         assert p.serialize() == c.serialize()
 
 
-def test_densify_packs_slices_into_one_matrix_per_key():
+def test_deserialize_packs_slices_into_one_matrix_per_key():
     # key 0 holds 3-bit values at the even positions below 9000 (words
     # 0-140), key 2 only value 1 at positions 0-9 (word 0): slices 1 and
-    # 2 lack key 2, so their rows there are zero
+    # 2 lack key 2, so its matrix has one row
     pos = np.r_[np.arange(0, 9000, 2), (2 << 16) + np.arange(10)]
     vals = np.r_[np.full(4500, 7), np.ones(10)].astype(np.uint64)
     blob = BSI.from_arrays(pos, vals).serialize()
     b = BSI.deserialize(blob)
-    read = [dict(s._c) for s in b.slices]
-    assert b._packed is None
-    b.densify()
+    read = [RoaringBitmap.deserialize(s) for s in _slice_blobs(blob)]
     assert sorted(b._packed) == [0, 2]
-    assert [(lo, m.shape) for lo, m in b._packed.values()] == [(0, (3, 141)), (0, (3, 1))]
+    assert [(lo, m.shape) for lo, m in b._packed.values()] == [(0, (3, 141)), (0, (1, 1))]
     for k, (lo, m) in b._packed.items():
-        assert m.flags.c_contiguous and m[:, 0].any() and m[:, -1].any()
-        for i, s in enumerate(b.slices):
+        assert m.flags.c_contiguous and m[:, 0].any() and m[:, -1].any() and m[-1].any()
+        for i, s in enumerate(read):
             if k in s._c:
                 want = C.array_to_bitset(C.to_positions(s._c[k]))
                 assert np.array_equal(C.widen(lo, m[i]), want)
             else:
-                assert not m[i].any()
-    assert not b._packed[2][1][1:].any()
-    # the decoded slices keep the containers they were read with
-    assert [s._c.keys() for s in b.slices] == [r.keys() for r in read]
-    assert all(s._c[k] is r[k] for s, r in zip(b.slices, read) for k in r)
-    assert b.serialize() == blob
-    assert BSI.deserialize(blob).densify() == b
+                assert i >= len(m) or not m[i].any()
+    assert b.serialize() == blob and b.densify() is b
+    assert BSI.deserialize(blob) == b == BSI.from_arrays(pos, vals)
+
+
+def _slice_blobs(blob: bytes) -> list[bytes]:
+    """The slice bitmaps' blobs inside a BSI blob."""
+    out, off = [], 4
+    for _ in range(blob[3]):
+        (n,) = struct.unpack_from("<I", blob, off)
+        out.append(blob[off + 4 : off + 4 + n])
+        off += 4 + n
+    return out
 
 
 def test_serialize_and_nbytes_keep_packed_views():
-    """Sizing and writing a packed BSI read its matrices in place: no
-    slice bitmap is derived, and the bytes equal the slice form's."""
+    """Sizing and writing a BSI read its matrices in place; the bytes
+    are those its slice bitmaps serialize to one by one."""
     pos = np.r_[np.arange(0, 9000, 2), (2 << 16) + np.arange(10)]
     vals = np.r_[np.full(4500, 7), np.ones(10)].astype(np.uint64)
     b = BSI.from_arrays(pos, vals)
-    assert b.densify() is b and b._slices is None
     n, blob = b.nbytes(), b.serialize()
-    assert b._slices is None
-    sliced = BSI(b.slices)  # derived once from the matrices
-    assert sliced._packed is None
-    assert blob == sliced.serialize() and n == sliced.nbytes() == len(blob)
+    assert _slice_blobs(blob) == [s.serialize() for s in b.slices]
+    assert n == len(blob) == 4 + sum(4 + len(s.serialize()) for s in b.slices)
     assert BSI.deserialize(blob) == b
 
 
 def test_counts_of_empty_and_array_filters():
     pos = np.arange(0, 70_000, 3)
-    b = BSI.from_arrays(pos, pos % 5).densify()
+    b = BSI.from_arrays(pos, pos % 5)
     flts = [
         RoaringBitmap.empty(),
         RoaringBitmap.from_array([3, 6, 65_538]),  # array containers
@@ -223,10 +225,10 @@ def test_score_segment_exposed_is_cardinality():
     # those filters select no one and their rows are dropped
     rng = np.random.default_rng(9)
     pos = np.arange(5000)
-    offset1 = BSI.from_arrays(pos, rng.integers(1, 4, len(pos))).densify()
-    offset2 = BSI.from_arrays(pos, np.full(len(pos), 7)).densify()
-    bucket = BSI.from_arrays(pos, rng.integers(1, 4, len(pos), endpoint=True)).densify()
-    metric = BSI.from_arrays(pos, rng.integers(0, 100, len(pos))).densify()
+    offset1 = BSI.from_arrays(pos, rng.integers(1, 4, len(pos)))
+    offset2 = BSI.from_arrays(pos, np.full(len(pos), 7))
+    bucket = BSI.from_arrays(pos, rng.integers(1, 4, len(pos), endpoint=True))
+    metric = BSI.from_arrays(pos, rng.integers(0, 100, len(pos)))
     exposes = [(1, 1, offset1, bucket), (2, 1, offset2, bucket)]
     sums, exposed = score_segment(
         exposes, {(7, 2): metric}, dates=[2], metric_ids=[7, 8], n_buckets=5
