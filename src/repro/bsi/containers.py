@@ -126,8 +126,9 @@ def to_positions(c: np.ndarray | None) -> np.ndarray:
 def normalize(c: np.ndarray | None) -> np.ndarray | None:
     """Re-choose the representation by cardinality; ``None`` if empty.
 
-    Used at decode time. An AND result keeps its operands'
-    representation, as real roaring does; serialization picks the
+    Used at decode time and on array-array op results; a bitset op
+    result only has its emptiness checked (:func:`_lazy`) and keeps
+    its representation, as real roaring does. Serialization picks the
     encoding from the positions, so storage numbers are unaffected."""
     n = card(c)
     if n == 0:
@@ -137,6 +138,12 @@ def normalize(c: np.ndarray | None) -> np.ndarray | None:
     if is_array(c) and n >= ARRAY_THRESHOLD:
         return array_to_bitset(c)
     return c
+
+
+def _lazy(c: np.ndarray) -> np.ndarray | None:
+    """Emptiness-only normalisation of a bitset op result: the result
+    keeps its representation, as real roaring does."""
+    return c if c.any() else None
 
 
 def runs_from_positions(a: np.ndarray) -> np.ndarray:
@@ -230,16 +237,69 @@ def c_and(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
         r = np.intersect1d(a, b, assume_unique=True)
         return r if len(r) else None
     if is_bitset(a) and is_bitset(b):
-        r = a & b  # kept a bitset, as real roaring does; only emptiness is checked
-        return r if r.any() else None
+        return _lazy(a & b)
     arr, bs = (a, b) if is_array(a) else (b, a)
     r = arr[contains(bs, arr)]
     return r if len(r) else None
 
 
+def c_or(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """Union of two containers."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if is_array(a) and is_array(b):
+        r = np.union1d(a, b)
+        return normalize(r.astype(np.uint16))
+    if is_bitset(a) and is_bitset(b):
+        return a | b  # card only grows; stays a bitset
+    arr, bs = (a, b) if is_array(a) else (b, a)
+    out = bs.copy()
+    p = arr.astype(np.uint64)
+    np.bitwise_or.at(out, p >> np.uint64(6), np.uint64(1) << (p & np.uint64(63)))
+    return out
+
+
+def c_xor(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """Symmetric difference of two containers."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    if is_array(a) and is_array(b):
+        r = np.setxor1d(a, b, assume_unique=True)
+        return normalize(r.astype(np.uint16))
+    if is_bitset(a) and is_bitset(b):
+        return _lazy(a ^ b)
+    arr, bs = (a, b) if is_array(a) else (b, a)
+    out = bs.copy()
+    p = arr.astype(np.uint64)
+    np.bitwise_xor.at(out, p >> np.uint64(6), np.uint64(1) << (p & np.uint64(63)))
+    return _lazy(out)
+
+
+def c_andnot(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """Difference ``a \\ b``."""
+    if a is None:
+        return None
+    if b is None:
+        return a
+    if is_array(a):
+        r = a[~contains(b, a)]
+        return r if len(r) else None
+    if is_bitset(b):
+        return _lazy(a & ~b)
+    # a bitset, b array: clear b's bits in a copy of a.
+    out = a.copy()
+    p = b.astype(np.uint64)
+    np.bitwise_and.at(out, p >> np.uint64(6), ~(np.uint64(1) << (p & np.uint64(63))))
+    return _lazy(out)
+
+
 def c_equal(a: np.ndarray | None, b: np.ndarray | None) -> bool:
     """Set equality of two containers (representation-agnostic, since
-    AND results and derived slices may hold small sets in bitset
+    op results and derived slices may hold small sets in bitset
     form)."""
     if a is None or b is None:
         return card(a) == card(b) == 0

@@ -37,6 +37,21 @@ def test_and(a, b):
 
 
 @pytest.mark.parametrize("a,b", CASES, ids=range(len(CASES)))
+def test_or(a, b):
+    assert setof(C.c_or(mk(a), mk(b))) == (a | b)
+
+
+@pytest.mark.parametrize("a,b", CASES, ids=range(len(CASES)))
+def test_xor(a, b):
+    assert setof(C.c_xor(mk(a), mk(b))) == (a ^ b)
+
+
+@pytest.mark.parametrize("a,b", CASES, ids=range(len(CASES)))
+def test_andnot(a, b):
+    assert setof(C.c_andnot(mk(a), mk(b))) == (a - b)
+
+
+@pytest.mark.parametrize("a,b", CASES, ids=range(len(CASES)))
 def test_card_and_equal(a, b):
     ca, cb = mk(a), mk(b)
     assert C.card(ca) == len(a)
@@ -71,6 +86,8 @@ def test_normalize_roundtrip():
 def test_ops_do_not_mutate_inputs():
     a, b = mk(range(0, 100, 2)), mk(range(0, 100, 3))
     sa, sb = setof(a), setof(b)
-    C.c_and(a, b)
-    C.c_and(C.array_to_bitset(a), C.array_to_bitset(b))
+    bits = (C.array_to_bitset(a), C.array_to_bitset(b))
+    for op in (C.c_and, C.c_or, C.c_xor, C.c_andnot):
+        op(a, b)
+        op(*bits)
     assert setof(a) == sa and setof(b) == sb

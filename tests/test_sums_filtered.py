@@ -161,14 +161,14 @@ def test_packed_equals_canonical_equals_python(columns, filter_pos, chunk_words)
         assert p.serialize() == c.serialize()
 
 
-def test_deserialize_packs_slices_into_one_matrix_per_key():
+def test_densify_packs_slices_into_one_matrix_per_key():
     # key 0 holds 3-bit values at the even positions below 9000 (words
     # 0-140), key 2 only value 1 at positions 0-9 (word 0): slices 1 and
     # 2 lack key 2, so its matrix has one row
     pos = np.r_[np.arange(0, 9000, 2), (2 << 16) + np.arange(10)]
     vals = np.r_[np.full(4500, 7), np.ones(10)].astype(np.uint64)
     blob = BSI.from_arrays(pos, vals).serialize()
-    b = BSI.deserialize(blob)
+    b = BSI.deserialize(blob).densify()  # the packed form deserialize built
     read = [RoaringBitmap.deserialize(s) for s in _slice_blobs(blob)]
     assert sorted(b._packed) == [0, 2]
     assert [(lo, m.shape) for lo, m in b._packed.values()] == [(0, (3, 141)), (0, (1, 1))]
