@@ -118,23 +118,23 @@ def _add_packed(x: Packed, y: Packed) -> Packed:
     """The packed sum of two matrices of one key: a ripple carry over
     their words aligned on the union of their spans, row by row, the
     carry left after the top rows becoming one more row if any bit of
-    it is set."""
+    it is set (only then is the sum copied into a taller matrix)."""
     (ax, mx), (ay, my) = x, y
     lo = min(ax, ay)
     span = max(ax + mx.shape[1], ay + my.shape[1]) - lo
     rows = max(len(mx), len(my))
-    s = np.zeros((rows + 1, span), dtype=np.uint64)  # x, then the sum
+    s = np.zeros((rows, span), dtype=np.uint64)  # x, then the sum
     s[: len(mx), ax - lo : ax - lo + mx.shape[1]] = mx
     b = np.zeros((rows, span), dtype=np.uint64)  # y, then x & y
     b[: len(my), ay - lo : ay - lo + my.shape[1]] = my
-    carry, t = s[rows], np.empty(span, dtype=np.uint64)
+    carry, t = np.zeros(span, dtype=np.uint64), np.empty(span, dtype=np.uint64)
     for i in range(rows):
         np.bitwise_xor(s[i], b[i], out=t)
         b[i] &= s[i]
         np.bitwise_xor(t, carry, out=s[i])
         carry &= t  # carry' = (x & y) | (carry & (x ^ y))
         carry |= b[i]
-    return lo, s if carry.any() else s[:rows]
+    return lo, np.vstack([s, carry]) if carry.any() else s
 
 
 def _as_uint(x, dtype, what: str) -> np.ndarray:
@@ -348,11 +348,18 @@ class BSI:
     # -- in-BSI aggregates --------------------------------------------
     def sum(self) -> int:
         """Sum of all values: sum_i 2**i * card(slice_i)."""
-        return sums_filtered([self], [self.existence()])[0][0]
+        return int(self._totals()[0][0, 0, 0])
 
     def count(self) -> int:
         """Number of existing (non-zero) rows."""
-        return self.existence().cardinality()
+        return int(self._totals()[1][0, 0])
+
+    def _totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`grouped_sums` of this BSI under its own existence,
+        each key's OR row over its span (no full-width container)."""
+        own = {k: (lo, np.bitwise_or.reduce(m, axis=0)[None, None])
+               for k, (lo, m) in self._packed.items()}
+        return grouped_sums([[self]], own, 1)
 
     def sum_filtered(self, bm: RoaringBitmap) -> int:
         """Sum of values at positions in ``bm`` without materialising

@@ -103,7 +103,6 @@ def deepdive_normal(
     metric_ids: list[int],
     date: int,
     predicates: list[Predicate],
-    bucket_col: str = "segment_id",
 ) -> DataFrame:
     """Catalyst baseline: semi-join expose against each predicate's
     qualifying units, then the normal scorecard aggregation."""
@@ -117,6 +116,5 @@ def deepdive_normal(
         ).select("analysis_unit_id")
         e = e.join(qualifying, "analysis_unit_id", "left_semi")
     return scorecard_normal(
-        e, metric_df, strategy_ids=strategy_ids, metric_ids=metric_ids, date=date,
-        bucket_col=bucket_col,
+        e, metric_df, strategy_ids=strategy_ids, metric_ids=metric_ids, date=date
     )

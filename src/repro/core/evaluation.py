@@ -32,32 +32,23 @@ from repro.platform.adhoc import AdhocEngine
 
 
 # -- shared helpers ---------------------------------------------------
-def _unit_positions(n_users: int, n_segments: int) -> tuple[np.ndarray, np.ndarray]:
-    """(segment, position) arrays indexed by analysis_unit_id - 1: the
-    platform's §3.4.1 encoding of the whole universe."""
+def _encoding(n_users: int, n_segments: int) -> pd.DataFrame:
+    """The platform's §3.4.1 encoding of the whole universe."""
     users = genlog.user_universe(n_users)
     users["segment_id"] = H.segment_of(users["analysis_unit_id"].to_numpy(), n_segments)
-    enc = encode.encoding_pandas(users).sort_values("analysis_unit_id")
-    return enc["segment_id"].to_numpy(), enc["position"].to_numpy(np.uint32)
+    return encode.encoding_pandas(users)
 
 
 def _segment_bsis(
-    users: np.ndarray,
-    values: np.ndarray,
-    seg: np.ndarray,
-    pos: np.ndarray,
-    n_segments: int,
+    enc: pd.DataFrame, users: np.ndarray, values: np.ndarray, n_segments: int
 ) -> list[BSI | None]:
     """Split one metric-day into per-segment BSIs (None if empty)."""
-    s = seg[users - 1]
-    p = pos[users - 1]
-    order = np.argsort(s, kind="stable")
-    s, p, v = s[order], p[order], values[order]
-    bounds = np.searchsorted(s, np.arange(n_segments + 1))
-    out: list[BSI | None] = []
-    for i in range(n_segments):
-        lo, hi = bounds[i], bounds[i + 1]
-        out.append(BSI.from_arrays(p[lo:hi], v[lo:hi]) if hi > lo else None)
+    seg = H.segment_of(users, n_segments)
+    pos = encode.unit_positions(enc, users, seg, "metric")
+    order, groups = encode.sorted_groups(seg, n_segments)
+    out: list[BSI | None] = [None] * n_segments
+    for i, a, b in groups:
+        out[i] = BSI.from_arrays(pos[order[a:b]], values[order[a:b]])
     return out
 
 
@@ -88,18 +79,18 @@ def table4_storage(
 ) -> Table4Result:
     """Measure both formats over specs x n_days (paper: 105 x 29)."""
     specs = specs if specs is not None else core_metrics_105()
-    seg, pos = _unit_positions(n_users, n_segments)
+    enc = _encoding(n_users, n_segments)
     normal = ST.StorageStats("normal")
     bsi = ST.StorageStats("bsi")
     for spec in specs:
         for date in range(1, n_days + 1):
             users, vals = genlog.metric_day(spec, n_users=n_users, date=date, seed=seed)
             buf = ST.normal_buffer(
-                seg[users - 1], np.full(len(users), date),
+                H.segment_of(users, n_segments), np.full(len(users), date),
                 np.full(len(users), spec.metric_id), users, vals,
             )
             normal.add(len(users), buf)
-            for b in _segment_bsis(users, vals, seg, pos, n_segments):
+            for b in _segment_bsis(enc, users, vals, n_segments):
                 if b is None:
                     continue
                 blob = b.serialize()
@@ -136,7 +127,7 @@ def table56_build(
     Default 4 segments: rows are scaled x1e-3 from the paper, and
     1024 paper segments x 1e-3 of the data per segment ~= 4 segments
     at the paper's per-segment density (~300k rows/segment for A)."""
-    seg, pos = _unit_positions(n_users, n_segments)
+    enc = _encoding(n_users, n_segments)
     out = {}
     for name, spec in TYPICAL_ABC.items():
         frames, bsis = [], []
@@ -146,7 +137,7 @@ def table56_build(
             frames.append(
                 pd.DataFrame({"user_id": users, "value": vals})
             )
-            bsis.append(_segment_bsis(users, vals, seg, pos, n_segments))
+            bsis.append(_segment_bsis(enc, users, vals, n_segments))
             if date == 1:
                 rows0 = len(users)
                 orig0 = len(users) * ST.NORMAL_ROW_BYTES
@@ -235,8 +226,8 @@ def table7_build(
     for df in (expose_bsi, metric_bsi):
         df.count()  # materialise caches so benches time only the query
     convert_s = time.perf_counter() - t0
-    expose_sdf = spark.createDataFrame(expose).cache()
-    metric_sdf = spark.createDataFrame(metric).cache()
+    expose_sdf = encode.arrow_frame(spark, expose).cache()
+    metric_sdf = encode.arrow_frame(spark, metric).cache()
     for df in (expose_sdf, metric_sdf):
         df.count()
     strategy_ids = [s for e in experiments for s in e.strategy_ids]

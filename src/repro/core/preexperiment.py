@@ -80,7 +80,6 @@ def preexperiment_normal(
     pre_lo: int,
     pre_hi: int,
     expose_date: int,
-    bucket_col: str = "segment_id",
 ) -> DataFrame:
     """Catalyst baseline: pre-period per-user sums joined to expose."""
     e = expose_df.filter(
@@ -95,7 +94,7 @@ def preexperiment_normal(
         .groupBy("analysis_unit_id", "metric_id")
         .agg(F.sum("value").alias("value"))
     )
-    return normal_grid(e, m, [metric_id], bucket_col)
+    return normal_grid(e, m, [metric_id], "segment_id")
 
 
 def cuped_analysis(

@@ -28,10 +28,14 @@ every requested (s, m, d), in request order: each segment yields
 order. A repeated id, or a date the store did not load, raises
 ValueError.
 
-Loading (``from_logs``, the daily load into the nodes' cache) makes one
-stable sort per log on a packed (segment, metric, date) or (segment,
-strategy) key and one hash lookup from unit id to position; each group
-is then a slice of the sorted columns, in log order, built by
+Loading (``from_logs``, the daily load into the nodes' cache) follows
+the conversion's row contract (:mod:`repro.platform.encode`): per log,
+one stable sort on a packed (segment, metric, date) or (segment,
+strategy) key (``sorted_groups``) and one lookup from unit id to
+position with each row's segment (``unit_positions``), which rejects a
+row whose unit is unknown or encoded in another segment; each strategy's
+offset BSI is ``offset_bsi``'s. Each group is a slice of the sorted
+columns, in log order, built by
 :meth:`repro.bsi.bsi.BSI.from_arrays` straight into its packed form:
 per container key, one slice matrix of the words its positions use. A
 log that lists units by id gives each group in ascending position
@@ -54,7 +58,7 @@ from repro.bsi.bitmap import Probes, RoaringBitmap
 from repro.bsi.bsi import BSI
 from repro.core.scorecard import score_segment
 from repro.platform import hashing as H
-from repro.platform.encode import encoding_pandas
+from repro.platform.encode import encoding_pandas, offset_bsi, sorted_groups, unit_positions
 
 
 @dataclass
@@ -96,23 +100,6 @@ def _segment_ids(log: pd.DataFrame, n_segments: int, what: str) -> np.ndarray:
     return seg
 
 
-def _sorted_groups(
-    key: np.ndarray, n_keys: int
-) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """One stable sort of the rows by ``key`` (ints in [0, n_keys]; rows
-    keyed ``n_keys`` are dropped). Returns the kept rows' order and,
-    per distinct key, ``(key, start, end)`` bounds in that order. The
-    key is narrowed to the smallest unsigned dtype that holds
-    ``n_keys``, so a key of at most 16 bits sorts by radix."""
-    key = key.astype(np.min_scalar_type(n_keys))
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
-    n = int(np.searchsorted(ks, n_keys))
-    order, ks = order[:n], ks[:n]
-    bounds = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist(), n]
-    return order, [(int(ks[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-
-
 class AdhocEngine:
     """Per-segment cached store + segment-parallel query execution."""
 
@@ -146,9 +133,10 @@ class AdhocEngine:
         is a contiguous slice of the sorted columns, in log order
         within the group. Unit ids map to positions by one hash lookup
         into the encoded ids (ids need not be dense); a row whose unit
-        is not in ``users_pdf`` raises ValueError, as does an id outside
-        [0, 2**32) in any of the three frames; the row store keeps the
-        ids as uint32. BSIs are built packed and the per-day
+        is not encoded in its ``segment_id`` (not in ``users_pdf``, or
+        encoded in another segment) raises ValueError, as does an id
+        outside [0, 2**32) in any of the three frames; the row store
+        keeps the ids as uint32. BSIs are built packed and the per-day
         exposed-user bitmaps densified: the compute forms."""
         eng = cls(n_segments, workers)
         eng.dates = frozenset(int(d) for d in dates)
@@ -156,18 +144,7 @@ class AdhocEngine:
         uid = _unit_ids(u, "users_pdf")
         if "segment_id" not in u.columns:
             u["segment_id"] = H.segment_of(uid, n_segments)
-        enc = encoding_pandas(u)
-        unit_index = pd.Index(enc["analysis_unit_id"].to_numpy().astype(np.uint32))
-        unit_pos = enc["position"].to_numpy().astype(np.uint32)
-
-        def positions(uids: np.ndarray, log: str) -> np.ndarray:
-            i = unit_index.get_indexer(uids)  # -1: not an encoded unit
-            if (i < 0).any():
-                raise ValueError(
-                    f"{log} log row with analysis_unit_id {uids[i < 0][0]} "
-                    "is not in users_pdf"
-                )
-            return unit_pos[i]
+        enc = encoding_pandas(u).astype({"analysis_unit_id": np.uint32, "position": np.uint32})
 
         # metric log: key (segment, metric, date), requested dates only
         day = np.unique(np.asarray(dates, dtype=np.int64))
@@ -178,11 +155,11 @@ class AdhocEngine:
             _segment_ids(metric_pdf, n_segments, "metric") * len(mids) + mcode
         ) * len(day) + dcode
         key[dcode < 0] = n_keys
-        order, groups = _sorted_groups(key, n_keys)
+        order, groups = sorted_groups(key, n_keys)
         del key, dcode, mcode  # 8 bytes per log row each: freed before the store is built
         uids = _unit_ids(metric_pdf, "metric log")[order]
         vals = metric_pdf["value"].to_numpy()[order]
-        pos = positions(uids, "metric")
+        pos = unit_positions(enc, uids, metric_pdf["segment_id"].to_numpy()[order], "metric")
         for k, a, b in groups:
             seg, rest = divmod(k, len(mids) * len(day))
             mkey = (int(mids[rest // len(day)]), int(day[rest % len(day)]))
@@ -196,19 +173,14 @@ class AdhocEngine:
         # expose log: key (segment, strategy)
         scode, sids = pd.factorize(expose_pdf["strategy_id"].to_numpy(), sort=True)
         key = _segment_ids(expose_pdf, n_segments, "expose") * len(sids) + scode
-        order, groups = _sorted_groups(key, n_segments * len(sids))
+        order, groups = sorted_groups(key, n_segments * len(sids))
         uids = _unit_ids(expose_pdf, "expose log")[order]
         feds = expose_pdf["first_expose_date"].to_numpy()[order]
-        pos = positions(uids, "expose")
+        pos = unit_positions(enc, uids, expose_pdf["segment_id"].to_numpy()[order], "expose")
         for k, a, b in groups:
-            seg, sid = k // len(sids), int(sids[k % len(sids)])
-            s = eng.segments[seg]
-            fed = feds[a:b]
-            min_date = int(fed.min())
-            s.expose_bsi[sid] = (
-                min_date,
-                BSI.from_arrays(pos[a:b], fed - min_date + 1),
-            )
+            s = eng.segments[k // len(sids)]
+            sid, fed = int(sids[k % len(sids)]), feds[a:b]
+            s.expose_bsi[sid] = offset_bsi(pos[a:b], fed)
             for d in dates:
                 s.expose_day_bitmaps[(sid, int(d))] = RoaringBitmap.from_array(
                     uids[a:b][fed <= d]

@@ -5,16 +5,28 @@ its segment, high-engagement users first (§3.4.1) — that is what makes
 the roaring bitmaps under the BSI compact. It is computed once per
 universe (:func:`encoding_pandas`).
 
+Every BSI the platform builds from log rows, here, in the ad-hoc
+engine's load and in the Table 4–6 workloads, follows one row contract,
+written once in this module:
+
+- :func:`unit_positions` maps each row's unit id to its position by one
+  ``pd.Index.get_indexer`` over the encoding, and raises ValueError on
+  the first row whose unit is not encoded in that row's ``segment_id``
+  (an unknown unit, or one encoded in another segment), never dropping
+  or misfiling it;
+- :func:`sorted_groups` groups the rows by one stable sort on a packed,
+  narrowed integer key, each group a slice of the sorted rows;
+- :func:`offset_bsi` applies the expose-offset rule below.
+
 Each segment converts on its own, as in the paper: a conversion is one
 ``cogroup`` of the log with the encoding by ``segment_id``, no join.
-One call per segment maps the segment's unit ids to positions by one
-``pd.Index.get_indexer`` over that segment's encoding rows and builds
-every BSI of the segment, in sorted key order. A log row whose unit is
-not encoded in its ``segment_id`` raises ValueError instead of being
-dropped. The price is memory: a call holds the segment's rows of the
-whole log being converted, not one BSI's rows (see :func:`log_to_bsi`).
+One call per segment looks its rows up in the segment's encoding rows
+and builds every BSI of the segment, in sorted key order. The price is
+memory: a call holds the segment's rows of the whole log being
+converted, not one BSI's rows (see :func:`log_to_bsi`).
 :func:`full_bsi_conversion` hands the conversions its pandas inputs as
-Arrow-backed frames, not as rows embedded in the plan.
+Arrow-backed frames (:func:`arrow_frame`), not as rows embedded in the
+plan.
 
 Conversions produce the paper's Table 2 layouts, with each BSI shipped
 as a serialized blob in a ``BinaryType`` column:
@@ -26,8 +38,9 @@ as a serialized blob in a ``BinaryType`` column:
 - expose log BSI:    segment_id, strategy_id, min_expose_date,
                      offset(BSI), bucket(BSI)
 
-``offset = first_expose_date - min_expose_date + 1`` (1-based so zero
-keeps meaning "non-existing"), and the bucket BSI stores
+``offset = first_expose_date - min_expose_date + 1``, with
+min_expose_date per (segment, strategy) (1-based so zero keeps meaning
+"non-existing"), and the bucket BSI stores
 ``bucket_of(randomization_unit_id) + 1`` for the same reason (§3.4.2).
 """
 from __future__ import annotations
@@ -57,36 +70,49 @@ def _bsi_blob(pos: np.ndarray, vals: np.ndarray) -> bytes:
     return BSI.from_arrays(pos, vals).serialize()
 
 
-def _positions(
-    log: pd.DataFrame, enc: pd.DataFrame, segment: int, what: str
-) -> np.ndarray:
-    """Each log row's position, looked up in its segment's encoding
-    rows by one ``get_indexer``; ValueError naming the first row whose
-    unit is not encoded in ``segment`` (an unknown unit, or a
-    ``segment_id`` that disagrees with the unit's encoded segment)."""
-    uids = log["analysis_unit_id"].to_numpy()
+def unit_positions(enc: pd.DataFrame, uids: np.ndarray, segs, what: str) -> np.ndarray:
+    """Each log row's position: its unit id looked up in the encoding
+    rows ``enc`` by one ``pd.Index.get_indexer``. ``segs`` is each row's
+    ``segment_id``, or one for every row. ValueError naming the first
+    row whose unit is not encoded in its ``segment_id``: an unknown
+    unit, or one the encoding places in another segment."""
     i = pd.Index(enc["analysis_unit_id"].to_numpy()).get_indexer(uids)
-    if (i < 0).any():
+    bad = i < 0
+    if not bad.any():
+        bad = enc["segment_id"].to_numpy()[i] != segs
+    if bad.any():
+        j = int(bad.argmax())
         raise ValueError(
-            f"{what} log row with analysis_unit_id {uids[i < 0][0]} is not "
-            f"encoded in its segment_id {segment}"
+            f"{what} log row with analysis_unit_id {uids[j]} is not encoded in its "
+            f"segment_id {np.broadcast_to(segs, len(uids))[j]}"
         )
     return enc["position"].to_numpy()[i]
 
 
-def _sorted_groups(cols: list[np.ndarray], pos: np.ndarray):
-    """The row order that sorts by ``cols``, then by position, and the
-    ``[start, end)`` run of each distinct ``cols`` tuple in that order,
-    runs in sorted key order."""
-    codes = [pd.factorize(c, sort=True)[0] for c in cols]
-    order = np.lexsort([pos, *reversed(codes)])
-    change = np.zeros(len(order), dtype=bool)
-    change[:1] = True
-    for c in codes:
-        c = c[order]
-        change[1:] |= c[1:] != c[:-1]
-    starts = np.flatnonzero(change)
-    return order, starts, np.append(starts[1:], len(order))
+def sorted_groups(
+    key: np.ndarray, n_keys: int
+) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """One stable sort of the rows by ``key`` (ints in [0, n_keys]; rows
+    keyed ``n_keys`` are dropped). Returns the kept rows' order and,
+    per distinct key, ``(key, start, end)`` bounds in that order, in
+    key order; a group's rows keep their order. The key is narrowed to
+    the smallest unsigned dtype that holds ``n_keys``, so a key of at
+    most 16 bits sorts by radix."""
+    key = key.astype(np.min_scalar_type(n_keys))
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    n = int(np.searchsorted(ks, n_keys))
+    order, ks = order[:n], ks[:n]
+    bounds = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist(), n]
+    return order, [(int(ks[a]), a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
+def offset_bsi(pos: np.ndarray, fed: np.ndarray) -> tuple[int, BSI]:
+    """One (segment, strategy) group's ``min_expose_date`` and offset
+    BSI, ``first_expose_date - min_expose_date + 1`` at each row's
+    position (1-based, so zero keeps meaning "non-existing")."""
+    min_date = int(fed.min())
+    return min_date, BSI.from_arrays(pos, fed - min_date + 1)
 
 
 def log_to_bsi(log_df: DataFrame, encoding: DataFrame, *, key: str) -> DataFrame:
@@ -108,16 +134,19 @@ def log_to_bsi(log_df: DataFrame, encoding: DataFrame, *, key: str) -> DataFrame
 
     def build(seg: tuple, log: pd.DataFrame, enc: pd.DataFrame) -> pd.DataFrame:
         segment = int(seg[0])
-        pos = _positions(log, enc, segment, key.split("_")[0])
-        date, k = log["date"].to_numpy(), log[key].to_numpy()
-        order, starts, ends = _sorted_groups([date, k], pos)
+        uids, date, k = (log[c].to_numpy() for c in ("analysis_unit_id", "date", key))
+        pos = unit_positions(enc, uids, segment, key.split("_")[0])
+        dcode, dates = pd.factorize(date, sort=True)
+        kcode, keys = pd.factorize(k, sort=True)
+        order, groups = sorted_groups(dcode * len(keys) + kcode, len(dates) * len(keys))
         pos, vals = pos[order], log["value"].to_numpy()[order]
+        first = order[[a for _, a, _ in groups]]
         return pd.DataFrame(
             {
-                "segment_id": np.full(len(starts), segment, dtype=np.int32),
-                "date": date[order][starts],
-                key: k[order][starts],
-                "value": [_bsi_blob(pos[a:b], vals[a:b]) for a, b in zip(starts, ends)],
+                "segment_id": np.full(len(groups), segment, dtype=np.int32),
+                "date": date[first],
+                key: k[first],
+                "value": [_bsi_blob(pos[a:b], vals[a:b]) for _, a, b in groups],
             }
         )
 
@@ -144,26 +173,20 @@ def expose_log_to_bsi(
 
     def build(seg: tuple, log: pd.DataFrame, enc: pd.DataFrame) -> pd.DataFrame:
         segment = int(seg[0])
-        pos = _positions(log, enc, segment, "expose")
-        strategy = log["strategy_id"].to_numpy()
-        order, starts, ends = _sorted_groups([strategy], pos)
+        pos = unit_positions(enc, log["analysis_unit_id"].to_numpy(), segment, "expose")
+        scode, sids = pd.factorize(log["strategy_id"].to_numpy(), sort=True)
+        order, groups = sorted_groups(scode, len(sids))
         pos = pos[order]
         fed = log["first_expose_date"].to_numpy()[order]
-        rid = log["randomization_unit_id"].to_numpy()[order]
-        bucket = H.bucket_of(rid, n_buckets) + 1
-        min_dates = [int(fed[a:b].min()) for a, b in zip(starts, ends)]
+        bucket = H.bucket_of(log["randomization_unit_id"].to_numpy()[order], n_buckets) + 1
+        offsets = [offset_bsi(pos[a:b], fed[a:b]) for _, a, b in groups]
         return pd.DataFrame(
             {
-                "segment_id": np.full(len(starts), segment, dtype=np.int32),
-                "strategy_id": strategy[order][starts],
-                "min_expose_date": np.array(min_dates, dtype=np.int32),
-                "offset": [
-                    _bsi_blob(pos[a:b], fed[a:b] - m + 1)
-                    for a, b, m in zip(starts, ends, min_dates)
-                ],
-                "bucket": [
-                    _bsi_blob(pos[a:b], bucket[a:b]) for a, b in zip(starts, ends)
-                ],
+                "segment_id": np.full(len(sids), segment, dtype=np.int32),
+                "strategy_id": sids,
+                "min_expose_date": np.array([m for m, _ in offsets], dtype=np.int32),
+                "offset": [b.serialize() for _, b in offsets],
+                "bucket": [_bsi_blob(pos[a:b], bucket[a:b]) for _, a, b in groups],
             }
         )
 
@@ -183,7 +206,7 @@ def expose_log_to_bsi(
 _LOCAL_RELATION_THRESHOLD = "spark.sql.execution.arrow.localRelationThreshold"
 
 
-def _arrow_frame(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
+def arrow_frame(spark: SparkSession, pdf: pd.DataFrame) -> DataFrame:
     """``pdf`` as a Spark frame whose rows travel as Arrow batches in an
     RDD, as a table scan's rows would. Below the session's local-relation
     threshold ``createDataFrame`` would instead embed every row in the
@@ -215,27 +238,27 @@ def full_bsi_conversion(
     DataFrames. ``metric_tree`` is the Figure 6 pre-aggregate tree over
     the metric frame (:func:`repro.platform.preagg.metric_tree`), lazy
     like the rest: nothing computes it until a pre-period reads it.
-    Every input frame is built by :func:`_arrow_frame`."""
+    Every input frame is built by :func:`arrow_frame`."""
     users_pdf = users_pdf.copy()
     if "segment_id" not in users_pdf.columns:
         users_pdf["segment_id"] = H.segment_of(
             users_pdf["analysis_unit_id"].to_numpy(), n_segments
         )
-    encoding = _arrow_frame(spark, encoding_pandas(users_pdf))
+    encoding = arrow_frame(spark, encoding_pandas(users_pdf))
     out: dict[str, DataFrame] = {"encoding": encoding}
     if metric_pdf is not None:
         out["metric"] = log_to_bsi(
-            _arrow_frame(spark, metric_pdf), encoding, key="metric_id"
+            arrow_frame(spark, metric_pdf), encoding, key="metric_id"
         )
         out["metric_tree"] = preagg.metric_tree(out["metric"])
     if expose_pdf is not None:
         out["expose"] = expose_log_to_bsi(
-            _arrow_frame(spark, expose_pdf),
+            arrow_frame(spark, expose_pdf),
             encoding,
             n_buckets=n_buckets or n_segments,
         )
     if dim_pdf is not None:
         out["dimension"] = log_to_bsi(
-            _arrow_frame(spark, dim_pdf), encoding, key="dimension_name"
+            arrow_frame(spark, dim_pdf), encoding, key="dimension_name"
         )
     return out

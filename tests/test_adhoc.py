@@ -75,6 +75,23 @@ def test_bsi_equals_normal_full_grid(world, engine):
     pd.testing.assert_frame_equal(a.astype("float64"), b.astype("float64"))
 
 
+def test_store_bsis_serialize_to_the_conversion_blobs(world, engine):
+    """The load and the Spark conversion build every BSI from the same
+    row contract: each store BSI serializes to the conversion's blob of
+    its key, and each strategy keeps the same min_expose_date."""
+    metric = world.metric_bsi.toPandas()
+    metric = metric[metric.date.isin(DATES)]
+    expose = world.expose_bsi.toPandas()
+    assert sum(len(s.metric_bsi) for s in engine.segments) == len(metric)
+    assert sum(len(s.expose_bsi) for s in engine.segments) == len(expose)
+    for r in metric.itertuples():
+        got = engine.segments[r.segment_id].metric_bsi[(r.metric_id, r.date)]
+        assert got.serialize() == r.value
+    for r in expose.itertuples():
+        min_date, offset = engine.segments[r.segment_id].expose_bsi[r.strategy_id]
+        assert (min_date, offset.serialize()) == (r.min_expose_date, r.offset)
+
+
 def test_sequential_equals_parallel(world):
     seq = AdhocEngine.from_logs(
         users_pdf=world.users, metric_pdf=world.metric, expose_pdf=world.expose,
@@ -237,12 +254,21 @@ def test_from_logs_non_contiguous_unit_ids(logs):
         pd.testing.assert_frame_equal(a, b)
 
 
+@pytest.mark.parametrize("fault", ["unknown unit", "other segment"])
 @pytest.mark.parametrize("log", ["metric", "expose"])
-def test_from_logs_unknown_unit_raises(logs, log):
+def test_from_logs_unknown_unit_raises(logs, log, fault):
+    """A row whose unit is not encoded, or is encoded in another segment
+    than its ``segment_id``, fails the load and is named; the load never
+    files it at another unit's position."""
     users, metric, expose = logs
     frames = {"metric": metric.copy(), "expose": expose.copy()}
-    frames[log].loc[7, "analysis_unit_id"] = 987_654_321
-    with pytest.raises(ValueError, match=f"{log} log row with analysis_unit_id 987654321"):
+    bad = frames[log]
+    if fault == "unknown unit":
+        bad.loc[7, "analysis_unit_id"] = 987_654_321
+    else:
+        bad.loc[7, "segment_id"] = (bad.loc[7, "segment_id"] + 1) % LOAD_SEGMENTS
+    uid = bad.loc[7, "analysis_unit_id"]
+    with pytest.raises(ValueError, match=f"{log} log row with analysis_unit_id {uid} is not encoded"):
         _load(users, frames["metric"], frames["expose"])
 
 

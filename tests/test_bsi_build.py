@@ -4,6 +4,7 @@ slice-by-slice ``RoaringBitmap.from_array`` reference and the blob its
 slices serialize to, and the word-level run count of ``serialize``
 against counting runs on the decoded positions."""
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -304,6 +305,15 @@ def test_sparse_keys_cost_what_they_hold():
     assert got == BSI.deserialize(blob)
     assert len(got.slices) == 64 and got.existence().cardinality() == 100
     assert got.held_bytes() == 51_200
+    # sum and count read each key's span, not a full-width container
+    for total in (got.sum, got.count):
+        tracemalloc.start()
+        try:
+            total()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 51_200, (total.__name__, peak)
 
 
 # low bits at and next to word and container edges, in the first two and

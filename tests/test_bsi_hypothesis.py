@@ -103,5 +103,7 @@ def test_packed_add_matches_python_ints(x, y):
     # first column, last column and top row
     for lo, m in s._packed.values():
         assert m.flags.c_contiguous and m[:, 0].any() and m[:, -1].any() and m[-1].any()
+        # and owns its buffer: no unused carry row held behind a view
+        assert m.base is None or m.base.nbytes == m.nbytes
     assert s == BSI.deserialize(s.serialize())
     assert s == mkb(y).add(mkb(x))

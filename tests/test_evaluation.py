@@ -18,13 +18,13 @@ SMALL_SPECS = [
 
 def test_segment_bsis_lossless():
     n, segs = 3000, 4
-    seg, pos = E._unit_positions(n, segs)
+    enc = E._encoding(n, segs)
     g = np.random.default_rng(0)
     users = np.unique(g.integers(1, n + 1, 1200))
     vals = g.integers(1, 500, len(users)).astype(np.uint64)
     total = 0
     cnt = 0
-    for b in E._segment_bsis(users, vals, seg, pos, segs):
+    for b in E._segment_bsis(enc, users, vals, segs):
         if b is not None:
             total += b.sum()
             cnt += b.count()
